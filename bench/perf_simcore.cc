@@ -12,11 +12,17 @@
 //   bench/perf_simcore --floor        # N=256 events/s floor (CI gate leg)
 //
 // `--nodes=` takes a comma-separated list; the JSON output is an ARRAY of
-// rows, one per N, each carrying the run's fidelity verdict and the
-// memory-layout profile counters (digest bytes, arena bytes, intern table).
+// rows, one per N, each carrying the run's fidelity verdict, its host peak
+// RSS and the memory-layout profile counters (digest bytes, arena bytes,
+// intern table). Each row runs in its own forked process, so its peak RSS is
+// that run's alone.
 // The N=512 row embeds the pre-overhaul baseline numbers (recorded on this
 // machine, RelWithDebInfo, jobs=1) so every future run reports its speedup
 // against a fixed reference.
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,8 +31,6 @@
 
 #include "bench/bench_util.h"
 #include "src/common/logging.h"
-#include "src/common/rng.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/fidelity_guard.h"
 #include "src/sim/profiler.h"
 
@@ -40,7 +44,6 @@ namespace {
 // runs ranged 48.4–57.4 s wall). See EXPERIMENTS.md for how to re-derive.
 constexpr double kBaselineWallS = 53.17;
 constexpr double kBaselineEventsPerS = 8742.0;
-constexpr double kBaselineQueueOpsPerS = 873781.0;
 
 BugSpec ProbeSpec() {
   BugSpec spec;
@@ -55,42 +58,6 @@ BugSpec ProbeSpec() {
   spec.transition_override = VirtualDuration::Seconds(20);
   spec.exec_model = ExecModel::kSedaSingleProcess;
   return spec;
-}
-
-// Event-queue micro throughput: schedule/cancel/pop mix, cancel-heavy the way
-// timer-driven simulations are (every retry timer is armed and then almost
-// always cancelled).
-double QueueOpsPerSecond() {
-  constexpr int kOps = 2'000'000;
-  EventQueue q;
-  Rng rng(42);
-  std::vector<EventId> live;
-  live.reserve(1024);
-  bench::WallTimer timer;
-  int64_t done = 0;
-  while (done < kOps) {
-    double roll = rng.UniformDouble();
-    if (roll < 0.55 || q.empty()) {
-      VirtualTime t = VirtualTime::Zero() +
-                      VirtualDuration::Nanos(rng.UniformInt(0, 1'000'000'000));
-      live.push_back(q.Schedule(t, [] {}));
-    } else if (roll < 0.80 && !live.empty()) {
-      size_t idx = rng.PickIndex(live.size());
-      q.Cancel(live[idx]);
-      live[idx] = live.back();
-      live.pop_back();
-    } else {
-      VirtualTime t;
-      q.Pop(&t);
-    }
-    ++done;
-  }
-  while (!q.empty()) {
-    VirtualTime t;
-    q.Pop(&t);
-    ++done;
-  }
-  return static_cast<double>(done) / timer.Seconds();
 }
 
 // Recorded N=256 floor reference for `--floor` (same probe, horizon 120 s,
@@ -155,9 +122,16 @@ struct ProbeRow {
   double wall_s = 0.0;
   uint64_t events_executed = 0;
   double events_per_s = 0.0;
+  double peak_rss_mib = 0.0;  // host high-water mark of the run's process
   std::string fidelity_verdict;
   SimProfiler::Counters counters;
 };
+
+double PeakRssMib() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
+}
 
 ProbeRow RunProbe(int nodes) {
   BugSpec spec = ProbeSpec();
@@ -179,9 +153,11 @@ ProbeRow RunProbe(int nodes) {
     row.fidelity_verdict += ":" + result.fidelity.violated_budget;
   }
   row.counters = profiler.counters();
-  std::printf("%.2fs wall, %llu events (%.0f events/s), fidelity %s\n",
+  row.peak_rss_mib = PeakRssMib();
+  std::printf("%.2fs wall, %llu events (%.0f events/s), peak RSS %.0f MiB, "
+              "fidelity %s\n",
               row.wall_s, static_cast<unsigned long long>(row.events_executed),
-              row.events_per_s, row.fidelity_verdict.c_str());
+              row.events_per_s, row.peak_rss_mib, row.fidelity_verdict.c_str());
   return row;
 }
 
@@ -205,8 +181,7 @@ int RunFloor() {
   return 0;
 }
 
-void WriteRow(JsonWriter* w, const ProbeRow& row, double queue_ops,
-              double horizon_s) {
+void WriteRow(JsonWriter* w, const ProbeRow& row, double horizon_s) {
   w->BeginObject();
   w->Field("bench", "perf_simcore");
   w->Field("scenario", "sec8-colocation-limit probe-seda");
@@ -217,7 +192,7 @@ void WriteRow(JsonWriter* w, const ProbeRow& row, double queue_ops,
   w->Field("wall_s", row.wall_s);
   w->Field("events_executed", static_cast<int64_t>(row.events_executed));
   w->Field("events_per_s", row.events_per_s);
-  w->Field("queue_ops_per_s", queue_ops);
+  w->Field("peak_rss_mib", row.peak_rss_mib);
   w->Field("fidelity_verdict", row.fidelity_verdict);
   w->Key("profile").BeginObject();
   w->Field("gossip_digest_bytes_sent", row.counters.gossip_digest_bytes_sent);
@@ -235,11 +210,57 @@ void WriteRow(JsonWriter* w, const ProbeRow& row, double queue_ops,
     w->Field("nodes", 512);
     w->Field("wall_s", kBaselineWallS);
     w->Field("events_per_s", kBaselineEventsPerS);
-    w->Field("queue_ops_per_s", kBaselineQueueOpsPerS);
     w->EndObject();
     w->Field("speedup_vs_baseline", speedup);
   }
   w->EndObject();
+}
+
+// Runs RunProbe(nodes) in a forked child and returns its JSON row. A
+// process's peak RSS never falls, so rows sharing one process would each
+// report the largest row run before them.
+bool RunRowInChild(int nodes, std::string* row_json) {
+  std::fflush(stdout);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    return false;
+  }
+  pid_t pid = fork();
+  if (pid < 0) {
+    return false;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    ProbeRow row = RunProbe(nodes);
+    if (row.nodes == 512) {
+      std::printf("speedup vs pre-overhaul baseline: %.2fx\n",
+                  kBaselineWallS / row.wall_s);
+    }
+    std::fflush(stdout);
+    JsonWriter w;
+    WriteRow(&w, row, ProbeSpec().horizon.seconds());
+    const std::string& out = w.str();
+    size_t written = 0;
+    while (written < out.size()) {
+      ssize_t n = write(fds[1], out.data() + written, out.size() - written);
+      if (n <= 0) {
+        _exit(1);
+      }
+      written += static_cast<size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  row_json->clear();
+  char buffer[4096];
+  ssize_t n;
+  while ((n = read(fds[0], buffer, sizeof(buffer))) > 0) {
+    row_json->append(buffer, static_cast<size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0 && !row_json->empty();
 }
 
 // Smoke mode: cheap, deterministic assertions on operation counts — no
@@ -313,30 +334,24 @@ int main(int argc, char** argv) {
   std::vector<int> nodes_list = NodesListFromArgs(argc, argv);
   std::string out_path = OutFromArgs(argc, argv);
 
-  std::printf("queue micro: ");
-  std::fflush(stdout);
-  double queue_ops = QueueOpsPerSecond();
-  std::printf("%.0f ops/s\n", queue_ops);
-
-  double horizon_s = ProbeSpec().horizon.seconds();
-  JsonWriter w;
-  w.BeginArray();
+  std::string rows;
   for (int nodes : nodes_list) {
-    ProbeRow row = RunProbe(nodes);
-    if (row.nodes == 512) {
-      std::printf("speedup vs pre-overhaul baseline: %.2fx\n",
-                  kBaselineWallS / row.wall_s);
+    std::string row_json;
+    if (!RunRowInChild(nodes, &row_json)) {
+      std::fprintf(stderr, "probe N=%d failed\n", nodes);
+      return 1;
     }
-    WriteRow(&w, row, queue_ops, horizon_s);
+    rows += rows.empty() ? "" : ",";
+    rows += row_json;
   }
-  w.EndArray();
+  std::string json = "[" + rows + "]";
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "%s\n", w.str().c_str());
+  std::fprintf(f, "%s\n", json.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

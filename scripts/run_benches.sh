@@ -9,8 +9,8 @@
 #   scripts/run_benches.sh --nodes=256   # smaller probe for quick iteration
 #
 # BENCH_simcore.json is an array of rows, one per N, each with the run's
-# fidelity verdict and memory-layout profile counters; the N=512 row embeds
-# the pre-overhaul baseline and speedup.
+# fidelity verdict, host peak RSS and memory-layout profile counters; the
+# N=512 row embeds the pre-overhaul baseline and speedup.
 #
 # Timing runs want a quiet machine and jobs=1 (the probe measures the
 # single-run inner loop the paper's Figure 2 executes thousands of times);

@@ -214,7 +214,7 @@ class GenVersionMonotonicInvariant : public Invariant {
       if (!Running(viewer)) continue;
       int64_t viewer_gen =
           viewer->gossiper().LocalState().heartbeat().generation;
-      PerViewer& mine = seen_[viewer->id()];
+      PerViewer& mine = Slot(&seen_, viewer->id());
       if (mine.viewer_generation != viewer_gen) {
         // The viewer restarted: its endpoint map was rebuilt from scratch, so
         // old observations no longer constrain it.
@@ -224,41 +224,58 @@ class GenVersionMonotonicInvariant : public Invariant {
       for (const auto& [ep, state] : viewer->gossiper().endpoints()) {
         HeartbeatState hb = state.heartbeat();
         int64_t max_version = state.MaxVersion();
-        auto it = mine.last.find(ep);
-        if (it != mine.last.end()) {
-          if (hb.generation < it->second.generation) {
+        Observation& last = Slot(&mine.last, ep);
+        if (last.seen) {
+          if (hb.generation < last.generation) {
             sink->ReportViolation(
                 name(), ctx.now,
                 StrFormat("node %lld saw node %lld's generation move "
                           "backwards (%lld -> %lld)",
                           static_cast<long long>(viewer->id()),
                           static_cast<long long>(ep),
-                          static_cast<long long>(it->second.generation),
+                          static_cast<long long>(last.generation),
                           static_cast<long long>(hb.generation)));
-          } else if (hb.generation == it->second.generation &&
-                     max_version < it->second.version) {
+          } else if (hb.generation == last.generation &&
+                     max_version < last.version) {
             sink->ReportViolation(
                 name(), ctx.now,
                 StrFormat("node %lld saw node %lld's version move backwards "
                           "(%lld -> %lld) within generation %lld",
                           static_cast<long long>(viewer->id()),
                           static_cast<long long>(ep),
-                          static_cast<long long>(it->second.version),
+                          static_cast<long long>(last.version),
                           static_cast<long long>(max_version),
                           static_cast<long long>(hb.generation)));
           }
         }
-        mine.last[ep] = HeartbeatState{hb.generation, max_version};
+        last = Observation{true, hb.generation, max_version};
       }
     }
   }
 
  private:
+  // Node ids are dense (0..N-1), so both levels are NodeId-indexed vectors:
+  // one flat row per viewer instead of N^2 tree nodes.
+  struct Observation {
+    bool seen = false;
+    int64_t generation = 0;
+    int64_t version = 0;  // max version
+  };
   struct PerViewer {
     int64_t viewer_generation = -1;
-    std::map<NodeId, HeartbeatState> last;  // generation + max version
+    std::vector<Observation> last;  // indexed by endpoint id
   };
-  std::map<NodeId, PerViewer> seen_;
+
+  template <typename T>
+  static T& Slot(std::vector<T>* table, NodeId id) {
+    size_t index = static_cast<size_t>(id);
+    if (index >= table->size()) {
+      table->resize(index + 1);
+    }
+    return (*table)[index];
+  }
+
+  std::vector<PerViewer> seen_;  // indexed by viewer id
 };
 
 // ---- kv-history -------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
+#include "src/ring/settled_cluster.h"
 
 namespace scalecheck {
 
@@ -316,11 +317,17 @@ void Cluster::BuildDeployment() {
   for (NodeId id = 0; id < std::min(initial_nodes_, 3); ++id) {
     seed_contacts.push_back(id);
   }
+  // One settled view per deployment; every initial member clones its ring
+  // and shares its peer states.
+  std::optional<SettledCluster> settled;
+  if (!fresh) {
+    settled.emplace(settled_members);
+  }
   for (NodeId id = 0; id < total; ++id) {
     Node* node = nodes_[static_cast<size_t>(id)].get();
     node->SetSeedContacts(seed_contacts);
     if (!fresh && id < initial_nodes_) {
-      node->PrimeSettled(settled_members);
+      node->PrimeSettled(*settled);
     } else if (!fresh) {
       node->PrimeSeeds(seed_members);
     }

@@ -8,6 +8,7 @@
 #include "src/common/strings.h"
 #include "src/gossip/messages.h"
 #include "src/kv/anti_entropy.h"
+#include "src/ring/settled_cluster.h"
 
 namespace scalecheck {
 
@@ -142,31 +143,25 @@ Node::Node(Env* env, NodeId id, Machine* machine, uint64_t seed)
 
 Node::~Node() = default;
 
-void Node::PrimeSettled(const std::map<NodeId, std::vector<Token>>& members) {
+void Node::PrimeSettled(const SettledCluster& settled) {
   CHECK(!started_);
-  auto self_it = members.find(id_);
-  CHECK(self_it != members.end()) << "settled node" << id_ << "not in member map";
-  my_tokens_ = self_it->second;
+  CHECK_EQ(ring_.num_nodes(), 0u) << "node" << id_ << "primed twice";
+  my_tokens_ = settled.TokensOf(id_);
 
   VersionedValue status;
   status.status = StatusKind::kNormal;
   status.tokens = my_tokens_;
   gossiper_.SetLocalState(ApplicationStateKey::kStatus, status);
 
-  for (const auto& [peer, tokens] : members) {
-    ring_.AddNode(peer, tokens);
+  ring_ = settled.ring().Clone();
+  VirtualTime now = env_->clock->Now();
+  for (const auto& [peer, state] : settled.states()) {
     if (peer == id_) {
       continue;
     }
-    EndpointState state(/*generation=*/1);
-    VersionedValue peer_status;
-    peer_status.version = 1;
-    peer_status.status = StatusKind::kNormal;
-    peer_status.tokens = tokens;
-    state.Set(ApplicationStateKey::kStatus, peer_status);
     gossiper_.AddKnownEndpoint(peer, state);
     // Prime the failure detector so phi is meaningful from t=0.
-    fd_.Report(peer, env_->clock->Now());
+    fd_.Report(peer, now);
   }
 }
 
@@ -176,13 +171,7 @@ void Node::PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members) 
     if (peer == id_) {
       continue;
     }
-    EndpointState state(/*generation=*/1);
-    VersionedValue peer_status;
-    peer_status.version = 1;
-    peer_status.status = StatusKind::kNormal;
-    peer_status.tokens = tokens;
-    state.Set(ApplicationStateKey::kStatus, peer_status);
-    gossiper_.AddKnownEndpoint(peer, state);
+    gossiper_.AddKnownEndpoint(peer, SettledMemberState(tokens));
     // A fresh joiner has an established view of the seeds only.
     if (!ring_.HasNode(peer)) {
       ring_.AddNode(peer, tokens);
@@ -550,7 +539,7 @@ void Node::FailureSweep() {
 void Node::SendSyn(NodeId peer) {
   std::shared_ptr<SynPayload> syn = syn_pool_.Acquire();
   gossiper_.CopySynDigests(&syn->digests);
-  digest_bytes_sent_ += syn->SizeBytes();
+  digest_bytes_sent_ += syn->CacheSize();
   env_->transport->Send(id_, peer, kGossipSyn, std::move(syn));
 }
 
@@ -818,8 +807,10 @@ void Node::BuildRecalcJob() {
     }
     return state->digest;
   };
-  auto compute_fn = [this, state] {
-    return ComputeCalc(state->input, state->bootstrap_path);
+  // Memoize and replay hash the input in digest_fn before computing; the
+  // calculation reuses that digest for its output-cache key.
+  auto compute_fn = [this, state, digest_fn] {
+    return ComputeCalc(state->input, state->bootstrap_path, digest_fn());
   };
   auto apply_fn = [this](const std::vector<uint8_t>& output, bool from_memo) {
     PendingRanges decoded;
@@ -902,10 +893,10 @@ void Node::BuildRecalcJob() {
 }
 
 PilBoundary::ComputeOutput Node::ComputeCalc(const CalcInput& input,
-                                             bool bootstrap_path) {
+                                             bool bootstrap_path,
+                                             const DigestValue& digest) {
   PendingRangeCalculator* calc =
       bootstrap_path ? env_->bootstrap_calc : env_->calculator;
-  DigestValue digest = input.ComputeDigest();
 
   PilBoundary::ComputeOutput out;
   const CalcOutputCache::Entry* cached =

@@ -51,6 +51,8 @@
 
 namespace scalecheck {
 
+class SettledCluster;
+
 class KvHistory;
 
 // Process-level cache of calculator outputs keyed by input digest. A harness
@@ -160,8 +162,9 @@ class Node {
   // ---- Pre-start configuration -------------------------------------------
 
   // Installs knowledge of a settled cluster: all members NORMAL with their
-  // tokens, ring populated, failure-detector windows primed.
-  void PrimeSettled(const std::map<NodeId, std::vector<Token>>& members);
+  // tokens, ring cloned from the template, peer states shared with it,
+  // failure-detector windows primed.
+  void PrimeSettled(const SettledCluster& settled);
   // For joiners: the only peers known at start.
   void PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members);
   // For fresh bootstrap: bare contact addresses with no known state (the
@@ -196,6 +199,7 @@ class Node {
 
   const TokenRing& ring() const { return ring_; }
   const Gossiper& gossiper() const { return gossiper_; }
+  const PhiAccrualFailureDetector& failure_detector() const { return fd_; }
   const PendingRanges& pending_ranges() const { return pending_ranges_; }
   const std::vector<PendingChange>& pending_changes() const { return pending_changes_; }
   bool recalc_inflight() const { return recalc_inflight_; }
@@ -251,7 +255,9 @@ class Node {
   void MaybeScheduleRecalc();
   void BuildRecalcJob();
   // The PIL compute closure (consults the output cache; real-vs-model).
-  PilBoundary::ComputeOutput ComputeCalc(const CalcInput& input, bool bootstrap_path);
+  // `digest` is input.ComputeDigest(), hashed once per invocation.
+  PilBoundary::ComputeOutput ComputeCalc(const CalcInput& input, bool bootstrap_path,
+                                         const DigestValue& digest);
   void UpdatePartitionServiceMemory();
 
   bool UsesRingLock() const {

@@ -39,13 +39,16 @@ const VersionedValue* EndpointState::Get(ApplicationStateKey key) const {
   if ((present_mask_ & (1u << index)) == 0) {
     return nullptr;
   }
-  return &app_states_[index];
+  return &block_->values[index];
 }
 
 void EndpointState::Set(ApplicationStateKey key, VersionedValue value) {
   int64_t version = value.version;
   int index = static_cast<int>(key);
-  app_states_[index] = std::move(value);
+  auto block = block_ == nullptr ? std::make_shared<AppStateBlock>()
+                                 : std::make_shared<AppStateBlock>(*block_);
+  block->values[index] = std::move(value);
+  block_ = std::move(block);
   present_mask_ |= (1u << index);
   if (version >= app_version_ceiling_) {
     app_version_ceiling_ = version;
@@ -57,6 +60,40 @@ void EndpointState::Set(ApplicationStateKey key, VersionedValue value) {
       app_version_ceiling_ = std::max(app_version_ceiling_, v.version);
     }
   }
+}
+
+EndpointState EndpointState::DeltaAfter(int64_t after_version) const {
+  EndpointState delta;
+  delta.heartbeat_ = heartbeat_;
+  uint8_t newer = 0;
+  for (const auto& [key, value] : app_states()) {
+    if (value.version > after_version) {
+      newer |= static_cast<uint8_t>(1u << static_cast<int>(key));
+    }
+  }
+  if (newer == 0) {
+    return delta;
+  }
+  if (newer == present_mask_) {
+    delta.block_ = block_;
+    delta.present_mask_ = present_mask_;
+    delta.app_version_ceiling_ = app_version_ceiling_;
+    return delta;
+  }
+  // A strict subset: one new block with just the newer values (the ceiling
+  // is their max, exactly what Set-ing them one by one would leave).
+  auto block = std::make_shared<AppStateBlock>();
+  for (const auto& [key, value] : app_states()) {
+    int index = static_cast<int>(key);
+    if ((newer & (1u << index)) != 0) {
+      block->values[index] = value;
+      delta.app_version_ceiling_ =
+          std::max(delta.app_version_ceiling_, value.version);
+    }
+  }
+  delta.block_ = std::move(block);
+  delta.present_mask_ = newer;
+  return delta;
 }
 
 StatusKind EndpointState::Status() const {

@@ -9,18 +9,30 @@
 // pending-range calculation is triggered from the gossip stage, and why an
 // expensive calculation starves gossip processing (bugs C3831..C6127).
 //
-// Layout: the app-state set used to be a std::map<key, value>; with only
-// three possible keys that meant a red-black tree of one-to-three nodes per
-// endpoint, allocated and pointer-chased on every gossip merge. It is now a
-// fixed std::array<VersionedValue, 3> plus a presence bitmask. app_states()
-// returns a lightweight view that iterates present entries in ascending key
-// order, so digest/wire/merge loops see exactly the old map order.
+// Layout: an EndpointState is a 48-byte handle. It holds the heartbeat, the
+// app-state version ceiling, a presence bitmask and a shared pointer to an
+// immutable AppStateBlock (a fixed std::array<VersionedValue, 3>). Copying a
+// state shares its block; Set builds a new block, so a copy never sees a
+// later Set on another copy. A heartbeat-only state (almost every gossip
+// delta in steady state) owns no block at all. Blocks are never written
+// after construction, so handles on different threads (the real-socket
+// carrier's nodes, primed from one src/ring/settled_cluster.h template) may
+// share them.
+//
+// Pointer rule: Get() and app_states() point into the current block. Set()
+// on the same handle replaces that block and frees it if no other copy holds
+// it, so neither may be used after a Set() on the handle it came from.
+//
+// app_states() returns a lightweight view that iterates present entries in
+// ascending key order, so digest/wire/merge loops see exactly the old map
+// order.
 
 #ifndef SCALECHECK_SRC_GOSSIP_ENDPOINT_STATE_H_
 #define SCALECHECK_SRC_GOSSIP_ENDPOINT_STATE_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +82,12 @@ struct HeartbeatState {
   int64_t version = 0;     // incremented every gossip round
 
   void AddToDigest(Digest* d) const;
+};
+
+// The immutable app-state values an EndpointState points at. Slots whose
+// bit is clear in the owning handle's presence mask hold default values.
+struct AppStateBlock {
+  std::array<VersionedValue, kNumApplicationStateKeys> values;
 };
 
 // Iterable view over the present app states of an EndpointState, in
@@ -141,9 +159,19 @@ class EndpointState {
                                                      : app_version_ceiling_;
   }
 
+  // Null when `key` is absent. See the pointer rule at the top of the file.
   const VersionedValue* Get(ApplicationStateKey key) const;
+  // Builds a new block holding the current values plus `value` at `key`.
   void Set(ApplicationStateKey key, VersionedValue value);
-  AppStateView app_states() const { return AppStateView(&app_states_, present_mask_); }
+  AppStateView app_states() const {
+    return AppStateView(block_ == nullptr ? nullptr : &block_->values,
+                        present_mask_);
+  }
+
+  // The heartbeat plus only the app states newer than `after_version` (a
+  // gossip delta). Shares this state's block when every present app state
+  // qualifies, so the common cases allocate nothing.
+  EndpointState DeltaAfter(int64_t after_version) const;
 
   // Convenience: current STATUS kind (kUnknown if absent).
   StatusKind Status() const;
@@ -155,14 +183,20 @@ class EndpointState {
 
   void AddToDigest(Digest* d) const;
 
+  // False for a heartbeat-only state: it allocates nothing.
+  bool has_block() const { return block_ != nullptr; }
+
  private:
   HeartbeatState heartbeat_;
-  std::array<VersionedValue, kNumApplicationStateKeys> app_states_;
-  uint8_t present_mask_ = 0;
   // Max version across present app states, maintained by Set so the
   // digest-building hot path reads MaxVersion in O(1).
   int64_t app_version_ceiling_ = 0;
+  std::shared_ptr<const AppStateBlock> block_;  // null iff present_mask_ == 0
+  uint8_t present_mask_ = 0;
 };
+
+static_assert(sizeof(EndpointState) <= 48,
+              "EndpointState is a handle; app states live in the shared block");
 
 // Sorted-by-endpoint payload container: deterministic iteration is
 // load-bearing for reproducibility, and the protocol emits keys in

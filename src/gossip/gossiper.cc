@@ -282,7 +282,7 @@ void Gossiper::HandleSyn(const std::vector<GossipDigest>& digests,
       out_requests->push_back(
           GossipDigest{digest.endpoint, mine.generation, mine.max_version});
     } else if (digest.max_version < mine.max_version) {
-      BuildDeltaInto(local, digest.max_version, &(*out_send)[digest.endpoint]);
+      out_send->emplace(digest.endpoint, local.DeltaAfter(digest.max_version));
     }
     // Equal generation and version: nothing to exchange.
     ++i;
@@ -312,10 +312,7 @@ void Gossiper::HandleSynGeneric(const std::vector<GossipDigest>& digests,
       out_requests->push_back(GossipDigest{
           digest.endpoint, local->heartbeat().generation, local->MaxVersion()});
     } else if (digest.max_version < local->MaxVersion()) {
-      auto [it, inserted] = out_send->emplace(digest.endpoint);
-      if (inserted) {
-        BuildDeltaInto(*local, digest.max_version, &it->second);
-      }
+      out_send->emplace(digest.endpoint, local->DeltaAfter(digest.max_version));
     }
     // Equal generation and version: nothing to exchange.
   }
@@ -335,10 +332,7 @@ void Gossiper::StatesForRequests(const std::vector<GossipDigest>& requests,
       continue;
     }
     if (req.generation == local->heartbeat().generation && req.max_version > 0) {
-      auto [it, inserted] = out->emplace(req.endpoint);
-      if (inserted) {
-        BuildDeltaInto(*local, req.max_version, &it->second);
-      }
+      out->emplace(req.endpoint, local->DeltaAfter(req.max_version));
     } else {
       out->emplace(req.endpoint, *local);
     }
@@ -350,16 +344,6 @@ EndpointStateMap Gossiper::StatesForRequests(
   EndpointStateMap out;
   StatesForRequests(requests, &out);
   return out;
-}
-
-void Gossiper::BuildDeltaInto(const EndpointState& state, int64_t after_version,
-                              EndpointState* delta) {
-  delta->mutable_heartbeat() = state.heartbeat();
-  for (const auto& [key, value] : state.app_states()) {
-    if (value.version > after_version) {
-      delta->Set(key, value);
-    }
-  }
 }
 
 void Gossiper::ApplyStates(const EndpointStateMap& states) {

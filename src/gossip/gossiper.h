@@ -173,10 +173,6 @@ class Gossiper {
 
  private:
   void ApplyOne(NodeId ep, const EndpointState& remote);
-  // Copies into *delta only the content of `state` newer than `after_version`
-  // (the heartbeat always rides along).
-  static void BuildDeltaInto(const EndpointState& state, int64_t after_version,
-                             EndpointState* delta);
 
   int64_t NextVersion() { return ++version_counter_; }
 

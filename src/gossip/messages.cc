@@ -5,6 +5,9 @@
 namespace scalecheck {
 
 size_t SynPayload::SizeBytes() const {
+  if (size_bytes_ != 0) {
+    return size_bytes_;
+  }
   return 16 + digest_codec::MeasureBytes(digests);
 }
 

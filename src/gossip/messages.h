@@ -39,9 +39,23 @@ struct GossipDigest {
 struct SynPayload : public Payload {
   std::vector<GossipDigest> digests;
 
+  // Measures the encoded size once and keeps it, so the sender's byte
+  // counter and the network model do not both walk N digests. Call it after
+  // the last change to `digests`, before the payload is shared: SizeBytes()
+  // stays a pure read, safe on payloads other threads hold.
+  size_t CacheSize() {
+    size_bytes_ = SizeBytes();
+    return size_bytes_;
+  }
   size_t SizeBytes() const override;
   // PayloadPool recycling hook: empty the content, keep the capacity.
-  void Clear() { digests.clear(); }
+  void Clear() {
+    digests.clear();
+    size_bytes_ = 0;
+  }
+
+ private:
+  size_t size_bytes_ = 0;  // 0: not cached (a real size is at least 16)
 };
 
 struct AckPayload : public Payload {

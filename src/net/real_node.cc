@@ -7,6 +7,7 @@
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/kv/anti_entropy.h"
+#include "src/ring/settled_cluster.h"
 
 namespace scalecheck {
 
@@ -68,31 +69,25 @@ RealNode::RealNode(NodeId id, const Options& options, Transport* transport,
 
 RealNode::~RealNode() { Stop(); }
 
-void RealNode::PrimeSettled(const std::map<NodeId, std::vector<Token>>& members) {
+void RealNode::PrimeSettled(const SettledCluster& settled) {
   std::lock_guard<std::mutex> lock(mu_);
   CHECK(!started_);
-  auto self_it = members.find(id_);
-  CHECK(self_it != members.end());
-  my_tokens_ = self_it->second;
+  CHECK_EQ(ring_.num_nodes(), 0u) << "node" << id_ << "primed twice";
+  my_tokens_ = settled.TokensOf(id_);
 
   VersionedValue status;
   status.status = StatusKind::kNormal;
   status.tokens = my_tokens_;
   gossiper_.SetLocalState(ApplicationStateKey::kStatus, status);
 
-  for (const auto& [peer, tokens] : members) {
-    ring_.AddNode(peer, tokens);
+  ring_ = settled.ring().Clone();
+  VirtualTime now = clock_.Now();
+  for (const auto& [peer, state] : settled.states()) {
     if (peer == id_) {
       continue;
     }
-    EndpointState state(/*generation=*/1);
-    VersionedValue peer_status;
-    peer_status.version = 1;
-    peer_status.status = StatusKind::kNormal;
-    peer_status.tokens = tokens;
-    state.Set(ApplicationStateKey::kStatus, peer_status);
     gossiper_.AddKnownEndpoint(peer, state);
-    fd_.Report(peer, clock_.Now());
+    fd_.Report(peer, now);
   }
 }
 
@@ -111,13 +106,7 @@ void RealNode::PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_membe
     if (peer == id_) {
       continue;
     }
-    EndpointState state(/*generation=*/1);
-    VersionedValue peer_status;
-    peer_status.version = 1;
-    peer_status.status = StatusKind::kNormal;
-    peer_status.tokens = tokens;
-    state.Set(ApplicationStateKey::kStatus, peer_status);
-    gossiper_.AddKnownEndpoint(peer, state);
+    gossiper_.AddKnownEndpoint(peer, SettledMemberState(tokens));
     if (!ring_.HasNode(peer)) {
       ring_.AddNode(peer, tokens);
     }
@@ -195,6 +184,13 @@ bool RealNode::SeesConvergedCluster(int n) const {
     }
   }
   return true;
+}
+
+void RealNode::Inspect(
+    const std::function<void(const TokenRing&, const Gossiper&,
+                             const PhiAccrualFailureDetector&)>& fn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  fn(ring_, gossiper_, fd_);
 }
 
 size_t RealNode::known_endpoints() const {

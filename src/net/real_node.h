@@ -16,6 +16,7 @@
 #ifndef SCALECHECK_SRC_NET_REAL_NODE_H_
 #define SCALECHECK_SRC_NET_REAL_NODE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,6 +36,8 @@
 #include "src/transport/substrate.h"
 
 namespace scalecheck {
+
+class SettledCluster;
 
 class RealNode {
  public:
@@ -82,9 +85,9 @@ class RealNode {
 
   NodeId id() const { return id_; }
 
-  // Pre-start: install a settled member map (self included), as the sim
+  // Pre-start: install the settled template (self included), as the sim
   // Node's PrimeSettled does, or just seed contacts.
-  void PrimeSettled(const std::map<NodeId, std::vector<Token>>& members);
+  void PrimeSettled(const SettledCluster& settled);
   void PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members);
 
   // Registers with the transport and starts the periodic gossip round.
@@ -111,6 +114,10 @@ class RealNode {
   // the key's natural replica set.
   int64_t KvTimestampOf(uint64_t key) const;
   std::vector<NodeId> KvNaturalEndpoints(uint64_t key) const;
+  // Runs `fn` under the node mutex over the ring, endpoint table and failure
+  // detector (tests compare them across carriers and priming paths).
+  void Inspect(const std::function<void(const TokenRing&, const Gossiper&,
+                                        const PhiAccrualFailureDetector&)>& fn) const;
 
  private:
   void OnMessage(const Message& msg);
