@@ -8,8 +8,10 @@
 namespace scalecheck {
 namespace {
 
+// No padding bytes: ctest names each case after gtest's byte dump of the
+// parameter, so padding would leak stack garbage into the test names.
 struct ConvergenceCase {
-  int nodes;
+  int64_t nodes;
   double loss;
   uint64_t seed;
 };
@@ -19,7 +21,7 @@ class ConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 TEST_P(ConvergenceTest, FreshBootstrapConverges) {
   const ConvergenceCase& c = GetParam();
   ClusterConfig config;
-  config.initial_nodes = c.nodes;
+  config.initial_nodes = static_cast<int>(c.nodes);
   config.calc_version = CalcVersion::kV3C3881Fix;
   config.run_mode = RunMode::kRealScale;
   config.seed = c.seed;

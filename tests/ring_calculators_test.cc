@@ -19,12 +19,15 @@
 namespace scalecheck {
 namespace {
 
+// No padding bytes (joining is 64-bit to fill the gap before the double):
+// ctest names each case after gtest's byte dump of the parameter, so padding
+// would leak stack garbage into the test names.
 struct CalcCase {
   CalcVersion version;
   int nodes;
   int vnodes;
   int leaving;
-  int joining;
+  int64_t joining;
   double model_tolerance;  // relative tolerance for ModelOps vs Execute ops
 };
 

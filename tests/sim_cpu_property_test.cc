@@ -13,10 +13,12 @@
 namespace scalecheck {
 namespace {
 
+// No padding bytes: ctest names each case after gtest's byte dump of the
+// parameter, so padding would leak stack garbage into the test names.
 struct CpuCase {
   double cores;
   double penalty;
-  int tasks;
+  int64_t tasks;
   uint64_t seed;
 };
 
