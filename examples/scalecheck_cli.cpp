@@ -1,10 +1,10 @@
 // scalecheck_cli: run any bug scenario / mode / scale from the command line.
 //
-//   scalecheck_cli --bug=C3831 --mode=real --nodes=64
-//   scalecheck_cli --bug=C5456 --mode=full --nodes=128 --seed=7 --jobs=4
-//   scalecheck_cli --bug=C3881 --mode=colo --nodes=96 --trace
-//   scalecheck_cli --bug=C3831 --mode=full --nodes=64 --json
-//   scalecheck_cli --bug=C3831 --mode=real --nodes=64 --faults=standard-chaos
+//   scalecheck_cli --mode=real --nodes=64
+//   scalecheck_cli --bug=C5456 --mode=suite --nodes=128 --seed=7 --jobs=4
+//   scalecheck_cli --bug=C3881 --mode=suite --sim-modes=colo --nodes=96 --trace
+//   scalecheck_cli --bug=C3831 --mode=suite --nodes=64 --json
+//   scalecheck_cli --mode=real --nodes=64 --faults=standard-chaos
 //
 // --faults=NAME injects a seed-deterministic fault schedule (partitions,
 // crash+restart, slow nodes, memory pressure) into every run; see
@@ -20,9 +20,9 @@
 // wall-clock timers and runs them to gossip convergence. With --faults=NAME
 // the link-level events of the plan are replayed against the sockets
 // (rescaled to the real gossip interval) and the run must then pass the
-// partition-heals reconvergence bound, or the CLI exits 4.
-// Old spellings (full/colo/memoize/replay/real-scale) still parse as
-// deprecated aliases for one release.
+// partition-heals reconvergence bound, or the CLI exits 4. Flags that only
+// steer the simulator (--plant-bug, --plant-kv-bug=ack-before-sync,
+// --kv-rate, --kv-key-dist, --workload) are rejected there with exit 2.
 
 #include <algorithm>
 #include <cstdio>
@@ -275,7 +275,6 @@ void Usage() {
       "                      [--workload=W]\n"
       "  bugs: %s\n"
       "  modes: suite search repro real\n"
-      "         (deprecated aliases: full colo memoize replay real-scale)\n"
       "  --sim-modes=CSV             --mode=suite only: which simulated\n"
       "                              deployments (real|colo|memoize|replay;\n"
       "                              default all four, the comparison grid)\n"
@@ -358,10 +357,12 @@ int RunOne(const BugSpec& spec, const CliOptions& cli, RunMode mode) {
     Result<MemoStore> loaded = MemoStore::Load(memo_path);
     if (!loaded.ok()) {
       if (loaded.status().code() == StatusCode::kNotFound) {
-        std::fprintf(stderr, "no memo DB at %s — run --mode=memoize first\n",
+        std::fprintf(stderr,
+                     "no memo DB at %s — run --sim-modes=memoize first\n",
                      memo_path.c_str());
       } else {
-        std::fprintf(stderr, "memo DB unusable (%s) — re-run --mode=memoize\n",
+        std::fprintf(stderr,
+                     "memo DB unusable (%s) — re-run --sim-modes=memoize\n",
                      loaded.status().ToString().c_str());
       }
       return 1;
@@ -487,6 +488,17 @@ int RunSearch(const BugSpec& spec, const CliOptions& cli) {
   return report.found_violation ? 4 : 0;
 }
 
+// The first given flag that only steers the simulator, or null. Real mode
+// would otherwise drop it and exit 0 without having run what it asked for.
+const char* SimOnlyFlag(const CliOptions& cli) {
+  if (cli.plant_bug) return "--plant-bug";
+  if (cli.plant_kv_bug) return "--plant-kv-bug=ack-before-sync";
+  if (cli.kv_rate > 0.0) return "--kv-rate";
+  if (cli.have_kv_key_dist) return "--kv-key-dist";
+  if (cli.have_workload) return "--workload";
+  return nullptr;
+}
+
 // --mode=real: the same Gossiper/ring/KvService translation units that run in
 // the simulator, on real localhost TCP sockets and wall-clock timers. No
 // BugSpec here — real mode measures the substrate itself, not a catalog
@@ -498,15 +510,15 @@ int RunReal(const CliOptions& cli) {
   options.node.gossip_interval = VirtualDuration::Millis(cli.gossip_ms);
   options.node.enable_kv = cli.kv_ops > 0;
   if (cli.have_kv_consistency) {
-    options.node.kv_consistency = cli.kv_consistency;
+    options.node.kv.consistency = cli.kv_consistency;
   }
-  options.node.kv_wal = cli.kv_wal;
-  options.node.kv_repair = cli.kv_repair;
+  options.node.kv.wal = cli.kv_wal;
+  options.node.kv.repair.enabled = cli.kv_repair;
   if (cli.kv_repair_rate > 0) {
-    options.node.kv_repair_rate_bytes = cli.kv_repair_rate;
+    options.node.kv.repair.rate_bytes = cli.kv_repair_rate;
   }
   if (cli.kv_repair_max_sessions > 0) {
-    options.node.kv_repair_max_sessions = cli.kv_repair_max_sessions;
+    options.node.kv.repair.max_sessions = cli.kv_repair_max_sessions;
   }
   options.node.plant_repair_storm = cli.plant_repair_storm;
   options.kv_ops = cli.kv_ops;
@@ -548,10 +560,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const ModeSelection sel = parsed.value();
-  if (sel.deprecated_alias) {
-    std::fprintf(stderr, "warning: --mode=%s is deprecated; use %s\n",
-                 cli.mode.c_str(), sel.canonical.c_str());
-  }
   // A --repro artifact implies repro mode regardless of --mode (historical
   // behavior); --mode=repro without an artifact is a usage error.
   if (!cli.repro.empty()) {
@@ -563,6 +571,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (sel.kind == CliModeKind::kReal) {
+    if (const char* flag = SimOnlyFlag(cli)) {
+      std::fprintf(stderr, "%s does not apply to --mode=real\n", flag);
+      return 2;
+    }
     return RunReal(cli);
   }
   const BugSpec* catalog_spec = BugCatalog::TryGet(cli.bug);

@@ -31,7 +31,8 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # real-carrier fault-injection path); cluster_settled_template_test runs
 # real-socket nodes primed from one settled template, which share immutable
 # app-state blocks across threads, and gossip_endpoint_state_test covers the
-# block sharing and the Get()-across-Set() rule ASan enforces.
+# block sharing and the Get()-across-Set() rule ASan enforces;
+# kv_carrier_config_test builds real-socket nodes beside a running RealClock.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -40,7 +41,7 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          transport_conformance_test real_cluster_test
          net_link_filter_test
          cluster_settled_template_test gossip_endpoint_state_test
-         kv_merkle_test kv_repair_test)
+         kv_merkle_test kv_repair_test kv_carrier_config_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"

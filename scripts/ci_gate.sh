@@ -30,7 +30,8 @@
 #   7. real-mode smoke: the same protocol code on REAL localhost TCP sockets
 #      (--mode=real) must gossip an 8-node cluster to convergence under a
 #      wall-clock timeout, complete a WAL-backed quorum KV smoke (group
-#      commit over real sockets), and exit 0,
+#      commit over real sockets), and exit 0; the same run with the sim-only
+#      --plant-kv-bug must be refused with exit 2,
 #   8. real-mode chaos smoke: replay the islanding FaultPlan against the
 #      socket carrier (--mode=real --faults=island) — the link filter must
 #      actually drop frames, and after the heal the gossip-to-unreachable
@@ -58,14 +59,15 @@ echo "== fidelity-guard exit codes =="
 CLI="$BUILD_DIR/examples/scalecheck_cli"
 
 # A comfortable run must exit 0 with an ok verdict.
-if ! "$CLI" --bug=C3831 --mode=colo --nodes=16 --json >/dev/null; then
+if ! "$CLI" --bug=C3831 --mode=suite --sim-modes=colo --nodes=16 --json >/dev/null; then
   echo "FAIL: healthy run did not exit 0" >&2
   exit 1
 fi
 
 # An impossible lateness budget must produce an invalid verdict and exit 3.
 set +e
-"$CLI" --bug=C3831 --mode=colo --nodes=96 --guard-lateness-p99-ms=1 --json \
+"$CLI" --bug=C3831 --mode=suite --sim-modes=colo --nodes=96 \
+  --guard-lateness-p99-ms=1 --json \
   > /dev/null
 code=$?
 set -e
@@ -281,6 +283,16 @@ if [[ "$out" == *'"kv_wal_bytes":0,'* ]]; then
   echo "FAIL: real-mode KV smoke wrote no WAL bytes (WAL not wired?)" >&2
   exit 1
 fi
+# A simulator-only flag must be refused (exit 2), not silently dropped.
+set +e
+timeout 60 "$CLI" --mode=real --nodes=8 --kv-ops=8 --kv-wal --plant-kv-bug \
+  --json >/dev/null 2>&1
+code=$?
+set -e
+if [[ "$code" -ne 2 ]]; then
+  echo "FAIL: real mode with --plant-kv-bug exited $code, expected 2" >&2
+  exit 1
+fi
 
 echo "== real-mode chaos smoke =="
 # The same islanding plan ChaosSearch found in the simulator, replayed on
@@ -305,12 +317,6 @@ if [[ "$out" == *'"messages_blocked":0,'* ]]; then
 fi
 if [[ "$out" != *'"unreachable_endpoints":0,'* ]]; then
   echo "FAIL: real-mode chaos smoke left endpoints unreachable" >&2
-  exit 1
-fi
-
-# Deprecated mode aliases still work (one release) and warn on stderr.
-if ! "$CLI" --bug=C3831 --mode=colo --nodes=16 --json 2>/dev/null >/dev/null; then
-  echo "FAIL: deprecated --mode=colo alias no longer runs" >&2
   exit 1
 fi
 

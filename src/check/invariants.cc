@@ -64,10 +64,10 @@ class RingOwnershipInvariant : public Invariant {
           continue;
         }
         if (!viewer->ring().HasNode(subject->id())) continue;
-        // TokensOf spans are already sorted (AddNode sorts the slice).
+        // Both sides are sorted: AddNode sorts the ring's slice and an
+        // owner's tokens are sorted as generated (Node::my_tokens).
         TokenSpan seen = viewer->ring().TokensOf(subject->id());
-        std::vector<Token> truth = subject->my_tokens();
-        std::sort(truth.begin(), truth.end());
+        const std::vector<Token>& truth = subject->my_tokens();
         if (seen.size() != truth.size() ||
             !std::equal(seen.begin(), seen.end(), truth.begin())) {
           sink->ReportViolation(
@@ -401,7 +401,7 @@ class KvHistoryInvariant : public Invariant {
 // caught. Crashed/never-restarted ackers are skipped (nothing to inspect);
 // restart recovery is synchronous, so a running restarted node has already
 // replayed its durable WAL prefix by the time any probe sees it. Gated on
-// kv_wal because the default in-memory store survives crashes by construction
+// kv.wal because the default in-memory store survives crashes by construction
 // (the check would be vacuous) — with the WAL on, an ack must imply a synced
 // record, which is exactly what the plant_kv_ack_before_sync bug breaks.
 class KvDurabilityInvariant : public Invariant {
@@ -409,7 +409,7 @@ class KvDurabilityInvariant : public Invariant {
   const char* name() const override { return "kv-durability"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
-    if (!ctx.kv_checkable || !ctx.kv_wal || ctx.history == nullptr) return;
+    if (!ctx.kv_checkable || !ctx.kv.wal || ctx.history == nullptr) return;
     const KvHistory& h = *ctx.history;
     const auto& ops = h.ops();
     const auto& order = h.conclusion_order();
@@ -454,7 +454,7 @@ class KvDurabilityInvariant : public Invariant {
 
 // ---- replica-convergence ----------------------------------------------------
 
-// Anti-entropy health, gated on kv_repair (without repair, divergence that
+// Anti-entropy health, gated on kv.repair (without repair, divergence that
 // hinted handoff missed is EXPECTED to persist, so the check would flag
 // healthy runs). Two facets:
 //
@@ -478,7 +478,7 @@ class ReplicaConvergenceInvariant : public Invariant {
   const char* name() const override { return "replica-convergence"; }
 
   void Probe(const InvariantContext& ctx, InvariantRegistry* sink) override {
-    if (!ctx.kv_repair) return;
+    if (!ctx.kv.repair.enabled) return;
     ProbeBudget(ctx, sink);
     if (!ctx.kv_checkable || ctx.history == nullptr) return;
     IndexNewConclusions(*ctx.history);
@@ -547,11 +547,11 @@ class ReplicaConvergenceInvariant : public Invariant {
   };
 
   void ProbeBudget(const InvariantContext& ctx, InvariantRegistry* sink) {
-    if (ctx.kv_repair_rate_bytes <= 0) return;
+    if (ctx.kv.repair.rate_bytes <= 0) return;
     const double elapsed_seconds =
         static_cast<double>(ctx.now.nanos()) / 1e9;
     const double allowance =
-        static_cast<double>(ctx.kv_repair_rate_bytes) * elapsed_seconds * 2.0 +
+        static_cast<double>(ctx.kv.repair.rate_bytes) * elapsed_seconds * 2.0 +
         4.0 * 1024.0 * 1024.0;
     for (const Node* node : *ctx.nodes) {
       if (!Running(node) || node->kv() == nullptr) continue;
@@ -563,7 +563,7 @@ class ReplicaConvergenceInvariant : public Invariant {
                       "2x its %lld B/s budget — repair storm",
                       static_cast<long long>(node->id()),
                       static_cast<long long>(streamed), elapsed_seconds,
-                      static_cast<long long>(ctx.kv_repair_rate_bytes)));
+                      static_cast<long long>(ctx.kv.repair.rate_bytes)));
       }
     }
   }

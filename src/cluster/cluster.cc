@@ -654,10 +654,8 @@ void Cluster::ProbeInvariants() {
   // not provide (a ONE read legitimately misses a ONE write).
   ctx.kv_checkable = (wl.kind == WorkloadKind::kSteadyState ||
                       wl.kind == WorkloadKind::kFailover) &&
-                     options_.config.kv_consistency != KvConsistency::kOne;
-  ctx.kv_wal = options_.config.kv_wal;
-  ctx.kv_repair = options_.config.kv_repair;
-  ctx.kv_repair_rate_bytes = options_.config.kv_repair_rate_bytes;
+                     options_.config.kv.consistency != KvConsistency::kOne;
+  ctx.kv = options_.config.kv;
   ctx.history = kv_history_.get();
   invariants_->Probe(ctx);
 }

@@ -84,32 +84,10 @@ Node::Node(Env* env, NodeId id, Machine* machine, uint64_t seed)
     deps.gossiper = &gossiper_;
     deps.self = id_;
     deps.replication_factor = env->config->replication_factor;
-    deps.timeout = env->config->kv_timeout;
-    deps.max_attempts = env->config->kv_max_attempts;
-    deps.retry_base_backoff = env->config->kv_retry_base_backoff;
-    deps.request_deadline = env->config->kv_request_deadline;
-    deps.consistency = env->config->kv_consistency;
-    deps.wal_enabled = env->config->kv_wal;
-    deps.wal_sync_interval = env->config->kv_wal_sync_interval;
+    deps.config = env->config->kv;
     deps.plant_ack_before_sync = env->config->check.plant_kv_ack_before_sync;
-    deps.hint_limit = env->config->kv_hint_limit;
-    deps.hint_ttl = env->config->kv_hint_ttl;
-    deps.read_repair_chance = env->config->kv_read_repair_chance;
-    // Derived from the ctor seed without consuming rng_ state, so enabling
-    // retries (or read repair) leaves every other per-node random draw
-    // untouched.
-    deps.retry_seed = HashCombine(seed, 0x4b565254ULL);   // "KVRT"
-    deps.repair_seed = HashCombine(seed, 0x4b565252ULL);  // "KVRR"
-    deps.repair_enabled = env->config->kv_repair;
-    deps.repair_interval = env->config->kv_repair_interval;
-    deps.repair_rate_bytes = env->config->kv_repair_rate_bytes;
-    deps.repair_max_sessions = env->config->kv_repair_max_sessions;
-    deps.repair_session_timeout = env->config->kv_repair_session_timeout;
-    deps.repair_max_retries = env->config->kv_repair_max_retries;
-    deps.repair_pressure_max_inflight =
-        env->config->kv_repair_pressure_max_inflight;
     deps.plant_repair_storm = env->config->check.plant_repair_storm;
-    deps.anti_entropy_seed = HashCombine(seed, 0x4b565245ULL);  // "KVRE"
+    deps.seed = seed;
     // Data-path footprint (WAL + memtable/runs + hint queue) lands in the
     // machine memory model like the gossip arena below: deltas follow the
     // deterministic event order, so FidelityGuard memory verdicts and
@@ -125,7 +103,7 @@ Node::Node(Env* env, NodeId id, Machine* machine, uint64_t seed)
       }
     };
     deps.history = env->kv_history;
-    kv_ = std::make_unique<KvService>(deps);
+    kv_ = std::make_unique<KvService>(std::move(deps));
   }
   unmonitored_.insert(id_);
   // Charge gossip-scratch arena growth to the memory model as it happens.
@@ -147,6 +125,7 @@ void Node::PrimeSettled(const SettledCluster& settled) {
   CHECK(!started_);
   CHECK_EQ(ring_.num_nodes(), 0u) << "node" << id_ << "primed twice";
   my_tokens_ = settled.TokensOf(id_);
+  DCHECK(std::is_sorted(my_tokens_.begin(), my_tokens_.end()));
 
   VersionedValue status;
   status.status = StatusKind::kNormal;

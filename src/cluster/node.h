@@ -226,7 +226,9 @@ class Node {
   uint64_t arena_bytes_reserved() const {
     return gossiper_.scratch_arena().bytes_reserved();
   }
-  std::vector<Token> my_tokens() const { return my_tokens_; }
+  // Sorted: GenerateTokens sorts them and the settled template hands them out
+  // as generated.
+  const std::vector<Token>& my_tokens() const { return my_tokens_; }
   Machine* machine() const { return machine_; }
   StatusKind my_status() const { return gossiper_.LocalState().Status(); }
   bool IsSettledView() const;  // no pending changes, no recalc in flight

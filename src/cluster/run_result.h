@@ -126,7 +126,7 @@ struct RunResult {
   int64_t kv_ops_one = 0;
   int64_t kv_ops_quorum = 0;
   int64_t kv_ops_all = 0;
-  // Anti-entropy repair counters (zero unless kv_repair is on), summed over
+  // Anti-entropy repair counters (zero unless kv.repair is on), summed over
   // nodes on both carriers.
   int64_t kv_repair_sessions = 0;
   int64_t kv_repair_bytes_streamed = 0;

@@ -10,19 +10,26 @@ namespace {
 // Subtree indices per hash message; bounds both message size and the burst a
 // single response can trigger.
 constexpr size_t kMaxBatchNodes = 32;
+// Hash batches re-sent after a session timeout before the session aborts.
+constexpr int kMaxRetries = 2;
+// Sessions yield (re-check a quarter interval later) while the node has more
+// in-flight foreground client ops than this.
+constexpr size_t kPressureMaxInflight = 16;
 
 }  // namespace
 
-AntiEntropy::AntiEntropy(Config config, Hooks hooks)
-    : config_(std::move(config)),
+AntiEntropy::AntiEntropy(const KvConfig::Repair& config, bool plant_storm,
+                         uint64_t seed, Hooks hooks)
+    : config_(config),
+      plant_storm_(plant_storm),
       hooks_(std::move(hooks)),
-      rng_(config_.seed) {
+      rng_(seed) {
   CHECK(hooks_.clock != nullptr);
   CHECK(hooks_.transport != nullptr);
   CHECK(hooks_.ring != nullptr);
   CHECK(hooks_.gossiper != nullptr);
   CHECK(hooks_.stats != nullptr);
-  bucket_bytes_ = static_cast<double>(config_.rate_bytes_per_sec);
+  bucket_bytes_ = static_cast<double>(config_.rate_bytes);
   bucket_refilled_ = hooks_.clock->Now();
 }
 
@@ -33,7 +40,7 @@ void AntiEntropy::Start() {
     return;
   }
   running_ = true;
-  bucket_bytes_ = static_cast<double>(config_.rate_bytes_per_sec);
+  bucket_bytes_ = static_cast<double>(config_.rate_bytes);
   bucket_refilled_ = hooks_.clock->Now();
   timer_ = std::make_unique<PeriodicClockTimer>(hooks_.clock, config_.interval,
                                                [this] { Tick(); });
@@ -104,14 +111,13 @@ void AntiEntropy::RefillBucket() {
   if (dt.IsNegative()) {
     return;
   }
-  const double burst = static_cast<double>(config_.rate_bytes_per_sec);
+  const double burst = static_cast<double>(config_.rate_bytes);
   bucket_bytes_ = std::min(
-      burst, bucket_bytes_ + static_cast<double>(config_.rate_bytes_per_sec) *
-                                 dt.seconds());
+      burst, bucket_bytes_ + static_cast<double>(config_.rate_bytes) * dt.seconds());
 }
 
 bool AntiEntropy::SpendBytes(int64_t bytes) {
-  if (config_.plant_storm) {
+  if (plant_storm_) {
     return true;  // PLANTED BUG: the rate limiter is ignored outright
   }
   RefillBucket();
@@ -123,7 +129,7 @@ bool AntiEntropy::SpendBytes(int64_t bytes) {
 }
 
 void AntiEntropy::ChargeBytes(int64_t bytes) {
-  if (config_.plant_storm) {
+  if (plant_storm_) {
     return;
   }
   RefillBucket();
@@ -139,7 +145,7 @@ VirtualDuration AntiEntropy::DelayForBytes(int64_t bytes) {
     return VirtualDuration::Millis(1);
   }
   const double secs =
-      deficit / static_cast<double>(std::max<int64_t>(1, config_.rate_bytes_per_sec));
+      deficit / static_cast<double>(std::max<int64_t>(1, config_.rate_bytes));
   return std::max(VirtualDuration::Millis(1),
                   VirtualDuration::FromSecondsF(secs)) +
          VirtualDuration::Millis(1);
@@ -165,14 +171,14 @@ void AntiEntropy::Tick() {
     AbortSession(id);
   }
 
-  if (config_.plant_storm) {
+  if (plant_storm_) {
     StormTick();
     return;
   }
   if (sessions_.size() >= static_cast<size_t>(config_.max_sessions)) {
     return;
   }
-  if (hooks_.pressure && hooks_.pressure() > config_.pressure_max_inflight) {
+  if (hooks_.pressure && hooks_.pressure() > kPressureMaxInflight) {
     ++hooks_.stats->repair_backoffs;
     return;  // foreground traffic wins; try again next interval
   }
@@ -254,7 +260,7 @@ void AntiEntropy::SendNextBatch(uint64_t id) {
   }
   // Yield to foreground pressure: re-check shortly instead of pushing more
   // repair traffic into an already-loaded node.
-  if (hooks_.pressure && hooks_.pressure() > config_.pressure_max_inflight) {
+  if (hooks_.pressure && hooks_.pressure() > kPressureMaxInflight) {
     ++hooks_.stats->repair_backoffs;
     if (s.resume_timer == kInvalidTimer) {
       s.resume_timer = hooks_.clock->ScheduleAfter(
@@ -446,7 +452,7 @@ void AntiEntropy::OnTimeout(uint64_t id) {
   }
   Session& s = it->second;
   s.timeout_timer = kInvalidTimer;
-  if (!hooks_.gossiper->IsAlive(s.peer) || s.retries >= config_.max_retries) {
+  if (!hooks_.gossiper->IsAlive(s.peer) || s.retries >= kMaxRetries) {
     AbortSession(id);
     return;
   }

@@ -40,6 +40,7 @@
 
 #include "src/common/rng.h"
 #include "src/gossip/gossiper.h"
+#include "src/kv/kv_config.h"
 #include "src/kv/kv_service.h"
 #include "src/kv/merkle.h"
 #include "src/ring/token_ring.h"
@@ -80,19 +81,6 @@ struct KvRepairDiffPayload : public Payload {
 // so the same scheduler runs on the simulator and the real-socket carrier.
 class AntiEntropy {
  public:
-  struct Config {
-    VirtualDuration interval = VirtualDuration::Seconds(10);
-    int64_t rate_bytes_per_sec = 256 * 1024;
-    int max_sessions = 1;
-    VirtualDuration session_timeout = VirtualDuration::Seconds(10);
-    int max_retries = 2;
-    // Yield (re-check a quarter interval later) when the node's in-flight
-    // foreground client ops exceed this.
-    size_t pressure_max_inflight = 16;
-    bool plant_storm = false;
-    uint64_t seed = 0;
-  };
-
   using StreamDoneFn = std::function<void(int64_t bytes, int64_t keys)>;
 
   struct Hooks {
@@ -114,7 +102,10 @@ class AntiEntropy {
     KvStats* stats = nullptr;
   };
 
-  AntiEntropy(Config config, Hooks hooks);
+  // `plant_storm` arms the planted repair-storm bug; `seed` drives the
+  // scheduler's phase and peer choices.
+  AntiEntropy(const KvConfig::Repair& config, bool plant_storm, uint64_t seed,
+              Hooks hooks);
   ~AntiEntropy();
   AntiEntropy(const AntiEntropy&) = delete;
   AntiEntropy& operator=(const AntiEntropy&) = delete;
@@ -179,7 +170,8 @@ class AntiEntropy {
   void ChargeBytes(int64_t bytes);     // post-charge; may overdraw
   VirtualDuration DelayForBytes(int64_t bytes);
 
-  Config config_;
+  const KvConfig::Repair config_;
+  const bool plant_storm_;
   Hooks hooks_;
   MerkleTree tree_;
   Rng rng_;

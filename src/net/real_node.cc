@@ -1,5 +1,6 @@
 #include "src/net/real_node.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -47,23 +48,10 @@ RealNode::RealNode(NodeId id, const Options& options, Transport* transport,
     deps.gossiper = &gossiper_;
     deps.self = id_;
     deps.replication_factor = options_.replication_factor;
-    deps.timeout = options_.kv_timeout;
-    deps.consistency = options_.kv_consistency;
-    deps.wal_enabled = options_.kv_wal;
-    deps.wal_sync_interval = options_.kv_wal_sync_interval;
-    deps.retry_seed = HashCombine(options_.seed, 0x4b565254ULL);
-    deps.repair_seed = HashCombine(options_.seed, 0x4b565252ULL);
-    deps.repair_enabled = options_.kv_repair;
-    deps.repair_interval = options_.kv_repair_interval;
-    deps.repair_rate_bytes = options_.kv_repair_rate_bytes;
-    deps.repair_max_sessions = options_.kv_repair_max_sessions;
-    deps.repair_session_timeout = options_.kv_repair_session_timeout;
-    deps.repair_max_retries = options_.kv_repair_max_retries;
-    deps.repair_pressure_max_inflight =
-        options_.kv_repair_pressure_max_inflight;
+    deps.config = options_.kv;
     deps.plant_repair_storm = options_.plant_repair_storm;
-    deps.anti_entropy_seed = HashCombine(options_.seed, 0x4b565245ULL);
-    kv_ = std::make_unique<KvService>(deps);
+    deps.seed = options_.seed;
+    kv_ = std::make_unique<KvService>(std::move(deps));
   }
 }
 
@@ -74,6 +62,7 @@ void RealNode::PrimeSettled(const SettledCluster& settled) {
   CHECK(!started_);
   CHECK_EQ(ring_.num_nodes(), 0u) << "node" << id_ << "primed twice";
   my_tokens_ = settled.TokensOf(id_);
+  DCHECK(std::is_sorted(my_tokens_.begin(), my_tokens_.end()));
 
   VersionedValue status;
   status.status = StatusKind::kNormal;

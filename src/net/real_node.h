@@ -48,25 +48,16 @@ class RealNode {
     int vnodes_per_node = 8;
     uint64_t seed = 1;
     bool enable_kv = false;
-    VirtualDuration kv_timeout = VirtualDuration::Seconds(2);
-    // Ack threshold for KV reads and writes (ONE / QUORUM / ALL).
-    KvConsistency kv_consistency = KvConsistency::kQuorum;
-    // Durable replica path (WAL + group commit + hint replay). Real-mode
-    // crashes are process exits, so the WAL mostly exercises the same code
-    // path as the sim carrier: deferred group-commit acks and hint replay
-    // on peer recovery.
-    bool kv_wal = false;
-    VirtualDuration kv_wal_sync_interval = VirtualDuration::Millis(250);
-    // Anti-entropy repair (src/kv/anti_entropy.h) — same knobs as
-    // ClusterConfig's kv_repair_* family, same defaults scaled to the
-    // real-mode smoke's shorter horizon.
-    bool kv_repair = false;
-    VirtualDuration kv_repair_interval = VirtualDuration::Seconds(2);
-    int64_t kv_repair_rate_bytes = 256 * 1024;
-    int kv_repair_max_sessions = 1;
-    VirtualDuration kv_repair_session_timeout = VirtualDuration::Seconds(5);
-    int kv_repair_max_retries = 2;
-    size_t kv_repair_pressure_max_inflight = 16;
+    // The same KV tunables as the simulator's ClusterConfig::kv, with one
+    // difference in defaults: repair ticks every 2 s with a 5 s session
+    // timeout (the simulator's are 10 s and 10 s) because a real-mode smoke
+    // lasts seconds of wall clock and its repair phase must see several
+    // sessions. The WAL here exercises deferred group-commit acks and hint
+    // replay; real-mode crashes are process exits, so there is no recovery.
+    KvConfig kv{.repair = {.interval = VirtualDuration::Seconds(2),
+                           .session_timeout = VirtualDuration::Seconds(5)}};
+    // The planted repair-storm bug. The ack-before-sync bug has no
+    // counterpart here: it needs a crash inside the sync window.
     bool plant_repair_storm = false;
     // Seed addresses for the gossip-to-unreachable escape hatch (self is
     // filtered out). When the live view is empty, the round SYNs one of
@@ -107,7 +98,11 @@ class RealNode {
   size_t live_endpoints() const;
   // Known-but-dead peers that have not departed (the healing target set).
   size_t unreachable_endpoints() const;
-  std::vector<Token> my_tokens() const { return my_tokens_; }
+  // Written only before Start(), so safe to read without the node mutex.
+  // Sorted, like the sim Node's.
+  const std::vector<Token>& my_tokens() const { return my_tokens_; }
+  // The KvService's configuration (null without KV); fixed at construction.
+  const KvConfig* kv_config() const { return kv_ ? &kv_->config() : nullptr; }
   const KvStats KvStatsSnapshot() const;
   // Replica-convergence audit hooks (real-mode verdict synthesis): the local
   // storage version of `key` (0 = absent / KV off) and this node's view of

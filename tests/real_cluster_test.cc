@@ -56,8 +56,8 @@ TEST(RealCluster, KvWalGroupCommitAcksOverTcp) {
   // the same contract the sim-side kv-durability invariant audits.
   RealCluster::Options options = FastOptions(5);
   options.node.enable_kv = true;
-  options.node.kv_wal = true;
-  options.node.kv_wal_sync_interval = VirtualDuration::Millis(25);
+  options.node.kv.wal = true;
+  options.node.kv.wal_sync_interval = VirtualDuration::Millis(25);
   options.kv_ops = 16;
   RealCluster cluster(options);
   RunResult result = cluster.Run();
