@@ -47,6 +47,7 @@ namespace {
 
 struct CliOptions {
   std::string bug = "C3831";
+  bool have_bug = false;
   std::string mode = "suite";
   std::string sim_modes;  // --mode=suite: CSV of real|colo|memoize|replay
   int nodes = 64;
@@ -112,6 +113,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     };
     if (const char* bug = value_of("--bug=")) {
       out->bug = bug;
+      out->have_bug = true;
     } else if (const char* mode = value_of("--mode=")) {
       out->mode = mode;
     } else if (const char* modes = value_of("--sim-modes=")) {
@@ -491,6 +493,11 @@ int RunSearch(const BugSpec& spec, const CliOptions& cli) {
 // The first given flag that only steers the simulator, or null. Real mode
 // would otherwise drop it and exit 0 without having run what it asked for.
 const char* SimOnlyFlag(const CliOptions& cli) {
+  if (cli.have_bug) return "--bug";
+  if (cli.jobs != 1) return "--jobs";
+  if (cli.trace) return "--trace";
+  if (cli.guard_lateness_p99_ms > 0.0) return "--guard-lateness-p99-ms";
+  if (cli.have_replay_policy) return "--replay-policy";
   if (cli.plant_bug) return "--plant-bug";
   if (cli.plant_kv_bug) return "--plant-kv-bug=ack-before-sync";
   if (cli.kv_rate > 0.0) return "--kv-rate";
@@ -499,8 +506,9 @@ const char* SimOnlyFlag(const CliOptions& cli) {
   return nullptr;
 }
 
-// --mode=real: the same Gossiper/ring/KvService translation units that run in
-// the simulator, on real localhost TCP sockets and wall-clock timers. No
+// --mode=real: the same NodeCore (gossip, failure detection, ring and KV
+// reactions) that runs in the simulator, on real localhost TCP sockets and
+// wall-clock timers. No
 // BugSpec here — real mode measures the substrate itself, not a catalog
 // scenario.
 int RunReal(const CliOptions& cli) {

@@ -32,7 +32,8 @@ BUILD_DIR="${1:-build-${SANITIZER:0:1}san}"
 # real-socket nodes primed from one settled template, which share immutable
 # app-state blocks across threads, and gossip_endpoint_state_test covers the
 # block sharing and the Get()-across-Set() rule ASan enforces;
-# kv_carrier_config_test builds real-socket nodes beside a running RealClock.
+# kv_carrier_config_test builds real-socket nodes beside a running RealClock,
+# and node_core_test drives a RealNode's core under its mutex.
 TARGETS=(scalecheck_suite_test common_thread_pool_test
          faults_test faults_determinism_test sim_sync_crash_test
          scalecheck_selfheal_test sim_fidelity_guard_test
@@ -41,7 +42,8 @@ TARGETS=(scalecheck_suite_test common_thread_pool_test
          transport_conformance_test real_cluster_test
          net_link_filter_test
          cluster_settled_template_test gossip_endpoint_state_test
-         kv_merkle_test kv_repair_test kv_carrier_config_test)
+         kv_merkle_test kv_repair_test kv_carrier_config_test
+         node_core_test)
 
 cmake -B "$BUILD_DIR" -S . -DSCALECHECK_SANITIZE="$SANITIZER" >/dev/null
 cmake --build "$BUILD_DIR" --target "${TARGETS[@]}" -j"$(nproc)"
@@ -53,9 +55,8 @@ done
 
 # Perf bench in smoke mode: no wall-clock thresholds, just the deterministic
 # operation-count assertions (same-seed runs must produce byte-identical
-# RunResult JSON through the pooled/incremental hot paths) — under the
-# sanitizer, which is exactly where lifetime bugs in payload recycling or the
-# event-slot slab would surface.
+# RunResult JSON through the incremental hot paths) — under the sanitizer,
+# which is exactly where lifetime bugs in the event-slot slab would surface.
 cmake --build "$BUILD_DIR" --target perf_simcore -j"$(nproc)"
 echo "== perf_simcore --smoke ($SANITIZER) =="
 "$BUILD_DIR/bench/perf_simcore" --smoke

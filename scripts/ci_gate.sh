@@ -293,6 +293,15 @@ if [[ "$code" -ne 2 ]]; then
   echo "FAIL: real mode with --plant-kv-bug exited $code, expected 2" >&2
   exit 1
 fi
+# So must a catalog bug: the real carrier runs no catalog workload.
+set +e
+timeout 60 "$CLI" --mode=real --nodes=4 --bug=C5456 --json >/dev/null 2>&1
+code=$?
+set -e
+if [[ "$code" -ne 2 ]]; then
+  echo "FAIL: real mode with --bug exited $code, expected 2" >&2
+  exit 1
+fi
 
 echo "== real-mode chaos smoke =="
 # The same islanding plan ChaosSearch found in the simulator, replayed on

@@ -818,8 +818,6 @@ void Cluster::CollectResult(RunResult* result) const {
       run.digest_builds += g.digest_builds();
       run.digest_entries_refreshed += g.digest_entries_refreshed();
       run.digest_full_rebuilds += g.digest_full_rebuilds();
-      run.payload_reuses += node->payload_reuses();
-      run.payload_allocs += node->payload_allocs();
       run.gossip_digest_bytes_sent += node->digest_bytes_sent();
       run.gossip_arena_bytes += node->arena_bytes_reserved();
       run.endpoint_store_bytes += g.endpoint_store_bytes();
@@ -841,8 +839,6 @@ void Cluster::CollectResult(RunResult* result) const {
     total.digest_builds += run.digest_builds;
     total.digest_entries_refreshed += run.digest_entries_refreshed;
     total.digest_full_rebuilds += run.digest_full_rebuilds;
-    total.payload_reuses += run.payload_reuses;
-    total.payload_allocs += run.payload_allocs;
     total.gossip_digest_bytes_sent += run.gossip_digest_bytes_sent;
     total.gossip_arena_bytes += run.gossip_arena_bytes;
     total.endpoint_store_bytes += run.endpoint_store_bytes;

@@ -48,17 +48,6 @@ enum class CalcPlacement : int {
 
 const char* CalcPlacementName(CalcPlacement placement);
 
-// When a node re-runs the pending-range calculation (§2: the buggy era
-// recalculated far more often than topology actually changed).
-enum class RecalcTrigger : int {
-  // Only when a STATUS application state changes (the minimal behaviour).
-  kStatusChangeOnly = 0,
-  // Any state apply (including heartbeats) for an endpoint with an in-flight
-  // membership change marks the ring dirty — the historical behaviour that
-  // turns one decommission into a recalculation storm.
-  kAnyApplyOfPendingEndpoint = 1,
-};
-
 // §6: how the colocated deployment is engineered.
 enum class ExecModel : int {
   // One OS process per node: per-process runtime overhead (JVM-like ~70 MB)
@@ -78,7 +67,6 @@ struct ClusterConfig {
   int replication_factor = 3;
   CalcVersion calc_version = CalcVersion::kV1PreC3831;
   CalcPlacement calc_placement = CalcPlacement::kInlineGossipStage;
-  RecalcTrigger recalc_trigger = RecalcTrigger::kAnyApplyOfPendingEndpoint;
   VirtualDuration gossip_interval = VirtualDuration::Seconds(1);
   PhiAccrualFailureDetector::Config fd;
   Gossiper::WorkCosts gossip_costs;

@@ -1,6 +1,5 @@
 #include "src/cluster/node.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -8,7 +7,6 @@
 #include "src/common/strings.h"
 #include "src/gossip/messages.h"
 #include "src/kv/anti_entropy.h"
-#include "src/ring/settled_cluster.h"
 
 namespace scalecheck {
 
@@ -55,17 +53,13 @@ Node::Node(Env* env, NodeId id, Machine* machine, uint64_t seed)
     : env_(env),
       id_(id),
       machine_(machine),
-      rng_(seed),
-      gossiper_(id, /*generation=*/1,
-                Gossiper::Callbacks{
-                    [this](NodeId ep, StatusKind o, StatusKind n) { OnStatusChange(ep, o, n); },
-                    [this](NodeId ep) { OnHeartbeat(ep); },
-                    [this](NodeId ep) { OnRestart(ep); },
-                }),
-      fd_(env->config->fd),
       ring_lock_(env->sim, StrFormat("ring-lock/%d", id)),
       gossip_task_(env->sim, machine, StrFormat("n%d/gossip-task", id)),
-      gossip_stage_(env->sim, machine, StrFormat("n%d/gossip-stage", id)) {
+      gossip_stage_(env->sim, machine, StrFormat("n%d/gossip-stage", id)),
+      core_(id, seed, env->clock, env->flaps, env->trace, env->config->fd,
+            env->config->replication_factor, env->config->vnodes_per_node,
+            env->config->seed, env->config->check.plant_left_join_bug,
+            [this] { UpdatePartitionServiceMemory(); }) {
   CHECK_NOTNULL(env);
   CHECK_NOTNULL(machine);
   if (env_->config->calc_placement != CalcPlacement::kInlineGossipStage) {
@@ -76,42 +70,30 @@ Node::Node(Env* env, NodeId id, Machine* machine, uint64_t seed)
     kv_stage_ = std::make_unique<SimThread>(env->sim, machine,
                                             StrFormat("n%d/kv-stage", id));
     kv_stage_adapter_ = std::make_unique<SimStage>(kv_stage_.get());
-    KvService::Deps deps;
-    deps.clock = env->clock;
-    deps.transport = env->transport;
-    deps.stage = kv_stage_adapter_.get();
-    deps.ring = &ring_;
-    deps.gossiper = &gossiper_;
-    deps.self = id_;
-    deps.replication_factor = env->config->replication_factor;
-    deps.config = env->config->kv;
-    deps.plant_ack_before_sync = env->config->check.plant_kv_ack_before_sync;
-    deps.plant_repair_storm = env->config->check.plant_repair_storm;
-    deps.seed = seed;
     // Data-path footprint (WAL + memtable/runs + hint queue) lands in the
     // machine memory model like the gossip arena below: deltas follow the
     // deterministic event order, so FidelityGuard memory verdicts and
     // colocation OOMs see the storage bytes deterministically.
-    deps.charge = [this](int64_t delta) {
-      if (!started_ || crashed_) {
-        return;
-      }
-      if (delta > 0) {
-        machine_->memory().Allocate(id_, "kv-storage", delta);
-      } else {
-        machine_->memory().Release(id_, "kv-storage", -delta);
-      }
-    };
-    deps.history = env->kv_history;
-    kv_ = std::make_unique<KvService>(std::move(deps));
+    core_.EnableKv(env->transport, kv_stage_adapter_.get(), env->config->kv,
+                   env->config->check.plant_kv_ack_before_sync,
+                   env->config->check.plant_repair_storm, env->kv_history,
+                   [this](int64_t delta) {
+                     if (!started_ || crashed_) {
+                       return;
+                     }
+                     if (delta > 0) {
+                       machine_->memory().Allocate(id_, "kv-storage", delta);
+                     } else {
+                       machine_->memory().Release(id_, "kv-storage", -delta);
+                     }
+                   });
   }
-  unmonitored_.insert(id_);
   // Charge gossip-scratch arena growth to the memory model as it happens.
   // Growth points are deterministic (they follow the deterministic event
   // order), so the charges — and FidelityGuard's memory verdict — are too.
   // Pre-start growth is folded into the bulk charge in Start()/Restart();
   // post-crash growth is impossible (the node's threads are dead).
-  gossiper_.scratch_arena().SetGrowHook([this](size_t block_bytes) {
+  core_.gossiper().scratch_arena().SetGrowHook([this](size_t block_bytes) {
     if (started_ && !crashed_) {
       machine_->memory().Allocate(id_, "gossip-arena",
                                   static_cast<int64_t>(block_bytes));
@@ -123,59 +105,21 @@ Node::~Node() = default;
 
 void Node::PrimeSettled(const SettledCluster& settled) {
   CHECK(!started_);
-  CHECK_EQ(ring_.num_nodes(), 0u) << "node" << id_ << "primed twice";
-  my_tokens_ = settled.TokensOf(id_);
-  DCHECK(std::is_sorted(my_tokens_.begin(), my_tokens_.end()));
-
-  VersionedValue status;
-  status.status = StatusKind::kNormal;
-  status.tokens = my_tokens_;
-  gossiper_.SetLocalState(ApplicationStateKey::kStatus, status);
-
-  ring_ = settled.ring().Clone();
-  VirtualTime now = env_->clock->Now();
-  for (const auto& [peer, state] : settled.states()) {
-    if (peer == id_) {
-      continue;
-    }
-    gossiper_.AddKnownEndpoint(peer, state);
-    // Prime the failure detector so phi is meaningful from t=0.
-    fd_.Report(peer, now);
-  }
+  core_.PrimeSettled(settled);
 }
 
 void Node::PrimeSeeds(const std::map<NodeId, std::vector<Token>>& seed_members) {
   CHECK(!started_);
-  for (const auto& [peer, tokens] : seed_members) {
-    if (peer == id_) {
-      continue;
-    }
-    gossiper_.AddKnownEndpoint(peer, SettledMemberState(tokens));
-    // A fresh joiner has an established view of the seeds only.
-    if (!ring_.HasNode(peer)) {
-      ring_.AddNode(peer, tokens);
-    }
-  }
+  core_.PrimeSeeds(seed_members);
 }
 
 void Node::PrimeContacts(const std::vector<NodeId>& contacts) {
   CHECK(!started_);
-  for (NodeId peer : contacts) {
-    if (peer == id_) {
-      continue;
-    }
-    // Generation 0: any real state the contact later advertises wins.
-    gossiper_.AddKnownEndpoint(peer, EndpointState(/*generation=*/0));
-  }
+  core_.PrimeContacts(contacts);
 }
 
 void Node::SetSeedContacts(const std::vector<NodeId>& contacts) {
-  seed_contacts_.clear();
-  for (NodeId peer : contacts) {
-    if (peer != id_) {
-      seed_contacts_.push_back(peer);
-    }
-  }
+  core_.SetSeedContacts(contacts);
 }
 
 void Node::EnableOrderEnforcement(std::vector<MessageKey> sequence) {
@@ -191,26 +135,19 @@ void Node::Start(bool as_joiner, VirtualDuration transition) {
   machine_->memory().Allocate(id_, "runtime", env_->config->RuntimeOverheadBytes());
   machine_->memory().Allocate(
       id_, "endpoints",
-      static_cast<int64_t>(gossiper_.endpoints().size()) *
+      static_cast<int64_t>(core_.gossiper().endpoints().size()) *
           env_->config->endpoint_state_bytes);
-  machine_->memory().Allocate(
-      id_, "gossip-arena",
-      static_cast<int64_t>(gossiper_.scratch_arena().bytes_reserved()));
+  machine_->memory().Allocate(id_, "gossip-arena",
+                              static_cast<int64_t>(arena_bytes_reserved()));
 
   env_->transport->RegisterNode(id_, [this](const Message& msg) { OnMessage(msg); });
-  if (kv_ != nullptr) {
-    kv_->Start();  // arms the anti-entropy scheduler when repair is on
+  if (core_.kv() != nullptr) {
+    core_.kv()->Start();  // arms the anti-entropy scheduler when repair is on
   }
 
   if (as_joiner) {
-    CHECK(my_tokens_.empty());
-    my_tokens_ = GenerateTokens(id_, env_->config->vnodes_per_node, env_->config->seed);
-    VersionedValue boot;
-    boot.status = StatusKind::kBootstrapping;
-    boot.tokens = my_tokens_;
-    gossiper_.SetLocalState(ApplicationStateKey::kStatus, boot);
-    AddPendingChange(PendingChange{id_, ChangeKind::kJoining, my_tokens_});
-    MarkRingDirty();
+    CHECK(core_.my_tokens().empty());
+    core_.Announce(StatusKind::kBootstrapping);
 
     // BOOT -> NORMAL after the transition period. The continuation belongs to
     // the incarnation that scheduled it: if the node crashes and restarts in
@@ -221,22 +158,15 @@ void Node::Start(bool as_joiner, VirtualDuration transition) {
       if (crashed_ || generation_ != gen) {
         return;
       }
-      VersionedValue normal;
-      normal.status = StatusKind::kNormal;
-      normal.tokens = my_tokens_;
-      gossiper_.SetLocalState(ApplicationStateKey::kStatus, normal);
-      if (!ring_.HasNode(id_)) {
-        ring_.AddNode(id_, my_tokens_);
-      }
-      RemovePendingChange(id_);
-      MarkRingDirty();
+      core_.Announce(StatusKind::kNormal);
       MaybeScheduleRecalc();
     });
   }
 
   // Desynchronize rounds across nodes, as real deployments are.
   VirtualDuration phase = VirtualDuration::Nanos(static_cast<int64_t>(
-      rng_.UniformDouble() * static_cast<double>(env_->config->gossip_interval.nanos())));
+      core_.rng().UniformDouble() *
+      static_cast<double>(env_->config->gossip_interval.nanos())));
   gossip_timer_ = std::make_unique<PeriodicClockTimer>(
       env_->clock, env_->config->gossip_interval, [this] { GossipRound(); });
   gossip_timer_->Start(phase);
@@ -244,12 +174,7 @@ void Node::Start(bool as_joiner, VirtualDuration transition) {
 
 void Node::BeginDecommission(VirtualDuration transition) {
   CHECK(started_);
-  VersionedValue leaving;
-  leaving.status = StatusKind::kLeaving;
-  leaving.tokens = my_tokens_;
-  gossiper_.SetLocalState(ApplicationStateKey::kStatus, leaving);
-  AddPendingChange(PendingChange{id_, ChangeKind::kLeaving, {}});
-  MarkRingDirty();
+  core_.Announce(StatusKind::kLeaving);
   MaybeScheduleRecalc();
 
   // Both deferred steps are guarded on the scheduling incarnation: a crash +
@@ -260,15 +185,7 @@ void Node::BeginDecommission(VirtualDuration transition) {
     if (crashed_ || generation_ != gen) {
       return;
     }
-    VersionedValue left;
-    left.status = StatusKind::kLeft;
-    left.tokens = my_tokens_;
-    gossiper_.SetLocalState(ApplicationStateKey::kStatus, left);
-    if (ring_.HasNode(id_)) {
-      ring_.RemoveNode(id_);
-    }
-    RemovePendingChange(id_);
-    MarkRingDirty();
+    core_.Announce(StatusKind::kLeft);
     MaybeScheduleRecalc();
   });
   // Keep gossiping LEFT for a grace period so it disseminates, then stop.
@@ -305,11 +222,11 @@ void Node::Crash() {
   // any waiters, whose threads just died with it) so survivors — and a later
   // restart — are not wedged behind a lock nobody can ever release.
   ring_lock_.ResetForCrash();
-  if (kv_ != nullptr) {
+  if (core_.kv() != nullptr) {
     // Process death for the data path: pending group-commit acks and the
     // volatile hint queue vanish; with the WAL on, so do the unsynced tail
     // and the in-memory storage engine.
-    kv_->OnCrash();
+    core_.kv()->OnCrash();
   }
   machine_->memory().ReleaseAll(id_);
 }
@@ -334,52 +251,34 @@ void Node::Restart(const std::vector<NodeId>& contacts) {
     kv_stage_->Revive();
   }
 
-  gossiper_.ResetForRestart(generation_);
-  fd_ = PhiAccrualFailureDetector(env_->config->fd);
-  ring_ = TokenRing();
-  pending_changes_.clear();
+  // We restart with our durable token assignment and announce NORMAL under
+  // the bumped generation; peers replace our stale state wholesale.
+  core_.ResetForRestart(generation_, contacts);
   pending_ranges_ = PendingRanges();
-  ring_dirty_ = false;
   recalc_inflight_ = false;
   partition_services_allocated_ = false;
   partition_services_bytes_ = 0;
-  unmonitored_.clear();
-  unmonitored_.insert(id_);
-
-  // We restart with our durable token assignment and announce NORMAL under
-  // the bumped generation; peers replace our stale state wholesale. The
-  // cluster view is re-learned from the contacts.
-  for (NodeId peer : contacts) {
-    if (peer != id_) {
-      gossiper_.AddKnownEndpoint(peer, EndpointState(/*generation=*/0));
-    }
-  }
-  VersionedValue normal;
-  normal.status = StatusKind::kNormal;
-  normal.tokens = my_tokens_;
-  gossiper_.SetLocalState(ApplicationStateKey::kStatus, normal);
-  ring_.AddNode(id_, my_tokens_);
 
   machine_->memory().Allocate(id_, "runtime", env_->config->RuntimeOverheadBytes());
   machine_->memory().Allocate(
       id_, "endpoints",
-      static_cast<int64_t>(gossiper_.endpoints().size()) *
+      static_cast<int64_t>(core_.gossiper().endpoints().size()) *
           env_->config->endpoint_state_bytes);
   // The arena survives the crash (it is process memory of the simulator, and
   // its blocks are reused by the fresh incarnation); re-charge the footprint
   // the restarted process would re-acquire.
-  machine_->memory().Allocate(
-      id_, "gossip-arena",
-      static_cast<int64_t>(gossiper_.scratch_arena().bytes_reserved()));
+  machine_->memory().Allocate(id_, "gossip-arena",
+                              static_cast<int64_t>(arena_bytes_reserved()));
   env_->transport->RegisterNode(id_, [this](const Message& msg) { OnMessage(msg); });
-  if (kv_ != nullptr) {
+  if (core_.kv() != nullptr) {
     // With the WAL on, this replays the durable prefix into a fresh storage
     // engine — the acked writes the kv-durability invariant audits.
-    kv_->OnRestart();
+    core_.kv()->OnRestart();
   }
 
   VirtualDuration phase = VirtualDuration::Nanos(static_cast<int64_t>(
-      rng_.UniformDouble() * static_cast<double>(env_->config->gossip_interval.nanos())));
+      core_.rng().UniformDouble() *
+      static_cast<double>(env_->config->gossip_interval.nanos())));
   gossip_timer_ = std::make_unique<PeriodicClockTimer>(
       env_->clock, env_->config->gossip_interval, [this] { GossipRound(); });
   gossip_timer_->Start(phase);
@@ -394,7 +293,7 @@ uint64_t Node::order_enforced() const {
 }
 
 bool Node::IsSettledView() const {
-  return pending_changes_.empty() && !recalc_inflight_ && !ring_dirty_;
+  return core_.pending_changes().empty() && !recalc_inflight_ && !core_.ring_dirty();
 }
 
 // ---- Gossip plumbing -------------------------------------------------------
@@ -432,8 +331,8 @@ void Node::ProcessMessage(const Message& msg) {
     case kKvRepairHashReq:
     case kKvRepairHashResp:
     case kKvRepairStreamWrite:
-      if (kv_ != nullptr) {
-        kv_->HandleMessage(msg);
+      if (core_.kv() != nullptr) {
+        core_.kv()->HandleMessage(msg);
       }
       break;
     default:
@@ -451,29 +350,16 @@ void Node::GossipRound() {
   round.IntendedAt(intended);
   round
       .Run([this] {
-        gossiper_.IncrementHeartbeat();
+        core_.gossiper().IncrementHeartbeat();
       })
       .Compute([this] {
-        return gossiper_.EstimateRoundWork(env_->config->gossip_costs);
+        return core_.gossiper().EstimateRoundWork(env_->config->gossip_costs);
       })
       .Run([this] {
-        const std::vector<NodeId>& live = gossiper_.LiveEndpointsView();
-        if (!live.empty()) {
-          SendSyn(live[rng_.PickIndex(live.size())]);
-        }
-        // Gossip-to-unreachable escape hatch: a healed partition only
-        // re-converges if somebody eventually SYNs across the conviction
-        // boundary. Probability |unreachable|/(|live|+1), Cassandra-style;
-        // draws happen only when the unreachable set is non-empty.
-        NodeId unreachable = gossiper_.PickUnreachableSynTarget(&rng_);
-        if (unreachable != kInvalidNode) {
-          SendSyn(unreachable);
-        }
-        // Fully islanded (empty live view): fall back to a seed contact
-        // unconditionally, so even a node that convicted the whole cluster
-        // re-establishes contact within one round of the partition healing.
-        if (live.empty() && !seed_contacts_.empty()) {
-          SendSyn(seed_contacts_[rng_.PickIndex(seed_contacts_.size())]);
+        for (NodeId peer : core_.PickSynTargets()) {
+          if (peer != kInvalidNode) {
+            SendSyn(peer);
+          }
         }
       });
   gossip_task_.Enqueue(std::move(round));
@@ -486,38 +372,24 @@ void Node::FailureSweep() {
   sweep
       .Compute([this] {
         return env_->config->fd_check_cost_per_endpoint *
-               static_cast<WorkUnits>(gossiper_.endpoints().size());
+               static_cast<WorkUnits>(core_.gossiper().endpoints().size());
       })
       .Run([this] {
-        VirtualTime now = env_->clock->Now();
-        // Iterating the cached live view is equivalent to scanning all
-        // endpoints and skipping the dead: Node keeps alive ⊆ known. MarkDead
-        // inside the loop only defers a rebuild, it does not move the vector.
-        for (NodeId ep : gossiper_.LiveEndpointsView()) {
-          if (unmonitored_.count(ep) > 0) {
-            continue;
-          }
-          if (fd_.Phi(ep, now) > fd_.config().threshold) {
-            gossiper_.MarkDead(ep);
-            env_->flaps->RecordDown(id_, ep, now);
-            if (env_->trace != nullptr) {
-              env_->trace->Record(now, TraceKind::kConviction, id_, ep);
-            }
-          }
-        }
+        core_.SweepFailures();
         if (env_->profile_hook) {
+          size_t endpoints = core_.gossiper().endpoints().size();
           env_->profile_hook(env_->fd_sweep_function,
                              env_->config->fd_check_cost_per_endpoint *
-                                 static_cast<int64_t>(gossiper_.endpoints().size()),
-                             gossiper_.endpoints().size());
+                                 static_cast<int64_t>(endpoints),
+                             endpoints);
         }
       });
   gossip_task_.Enqueue(std::move(sweep));
 }
 
 void Node::SendSyn(NodeId peer) {
-  std::shared_ptr<SynPayload> syn = syn_pool_.Acquire();
-  gossiper_.CopySynDigests(&syn->digests);
+  auto syn = std::make_shared<SynPayload>();
+  core_.gossiper().CopySynDigests(&syn->digests);
   digest_bytes_sent_ += syn->CacheSize();
   env_->transport->Send(id_, peer, kGossipSyn, std::move(syn));
 }
@@ -533,12 +405,12 @@ void Node::HandleSynMessage(const Message& msg) {
        return Gossiper::EstimateSynWork(*syn, env_->config->gossip_costs);
      })
       .Run([this, syn, peer] {
-        std::shared_ptr<AckPayload> ack = ack_pool_.Acquire();
-        gossiper_.HandleSyn(syn->digests, &ack->requests, &ack->states);
+        auto ack = std::make_shared<AckPayload>();
+        core_.gossiper().HandleSyn(syn->digests, &ack->requests, &ack->states);
         if (env_->profile_hook) {
           env_->profile_hook(env_->gossip_syn_function,
                              Gossiper::EstimateSynWork(*syn, env_->config->gossip_costs),
-                             gossiper_.endpoints().size());
+                             core_.gossiper().endpoints().size());
         }
         env_->transport->Send(id_, peer, kGossipAck, std::move(ack));
       });
@@ -559,11 +431,11 @@ void Node::HandleAckMessage(const Message& msg) {
     job.Lock(&ring_lock_);
   }
   job.Run([this, ack] {
-    gossiper_.ApplyStates(ack->states);
+    core_.gossiper().ApplyStates(ack->states);
     if (env_->profile_hook) {
       env_->profile_hook(env_->gossip_apply_function,
                          Gossiper::EstimateAckWork(*ack, env_->config->gossip_costs),
-                         gossiper_.endpoints().size());
+                         core_.gossiper().endpoints().size());
     }
   });
   if (UsesRingLock()) {
@@ -571,8 +443,8 @@ void Node::HandleAckMessage(const Message& msg) {
   }
   job.Run([this, ack, peer] {
     if (!ack->requests.empty()) {
-      std::shared_ptr<Ack2Payload> ack2 = ack2_pool_.Acquire();
-      gossiper_.StatesForRequests(ack->requests, &ack2->states);
+      auto ack2 = std::make_shared<Ack2Payload>();
+      core_.gossiper().StatesForRequests(ack->requests, &ack2->states);
       if (!ack2->states.empty()) {
         env_->transport->Send(id_, peer, kGossipAck2, std::move(ack2));
       }
@@ -594,7 +466,7 @@ void Node::HandleAck2Message(const Message& msg) {
   if (UsesRingLock()) {
     job.Lock(&ring_lock_);
   }
-  job.Run([this, ack2] { gossiper_.ApplyStates(ack2->states); });
+  job.Run([this, ack2] { core_.gossiper().ApplyStates(ack2->states); });
   if (UsesRingLock()) {
     job.Unlock(&ring_lock_);
   }
@@ -602,135 +474,10 @@ void Node::HandleAck2Message(const Message& msg) {
   gossip_stage_.Enqueue(std::move(job));
 }
 
-// ---- Gossiper callbacks ------------------------------------------------------
-
-void Node::OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status) {
-  if (env_->trace != nullptr) {
-    env_->trace->Record(env_->clock->Now(), TraceKind::kStatusChange, id_, ep,
-                        static_cast<int64_t>(new_status), StatusKindName(new_status));
-  }
-  switch (new_status) {
-    case StatusKind::kBootstrapping: {
-      const EndpointState* state = gossiper_.StateOf(ep);
-      CHECK_NOTNULL(state);
-      AddPendingChange(PendingChange{ep, ChangeKind::kJoining, state->Tokens()});
-      MarkRingDirty();
-      break;
-    }
-    case StatusKind::kNormal: {
-      const EndpointState* state = gossiper_.StateOf(ep);
-      CHECK_NOTNULL(state);
-      if (!ring_.HasNode(ep)) {
-        ring_.AddNode(ep, state->Tokens());
-      }
-      RemovePendingChange(ep);
-      MarkRingDirty();
-      break;
-    }
-    case StatusKind::kLeaving:
-      AddPendingChange(PendingChange{ep, ChangeKind::kLeaving, {}});
-      MarkRingDirty();
-      break;
-    case StatusKind::kLeft:
-    case StatusKind::kRemoved:
-      if (env_->config->check.plant_left_join_bug &&
-          old_status == StatusKind::kUnknown && !ring_.HasNode(ep)) {
-        // Planted recovery bug (CheckOptions::plant_left_join_bug): a view
-        // meeting a tombstoned endpoint for the first time — e.g. a process
-        // that restarted after a peer finished decommissioning — mishandles
-        // the LEFT state as a join and claims the departed node's tokens
-        // back into its ring. The zombie-endpoint invariant exists to catch
-        // exactly this class of mistake.
-        const EndpointState* state = gossiper_.StateOf(ep);
-        if (state != nullptr && !state->Tokens().empty()) {
-          ring_.AddNode(ep, state->Tokens());
-          RemovePendingChange(ep);
-          MarkRingDirty();
-          break;
-        }
-      }
-      if (ring_.HasNode(ep)) {
-        ring_.RemoveNode(ep);
-      }
-      RemovePendingChange(ep);
-      // A properly departed node is no longer monitored; its silence is not
-      // a failure and must not produce flaps.
-      unmonitored_.insert(ep);
-      fd_.Forget(ep);
-      gossiper_.MarkDead(ep);
-      MarkRingDirty();
-      break;
-    case StatusKind::kUnknown:
-      break;
-  }
-}
-
-void Node::OnHeartbeat(NodeId ep) {
-  if (unmonitored_.count(ep) > 0) {
-    return;
-  }
-  fd_.Report(ep, env_->clock->Now());
-  if (!gossiper_.IsAlive(ep)) {
-    gossiper_.MarkAlive(ep);
-    env_->flaps->RecordUp(id_, ep, env_->clock->Now());
-    if (env_->trace != nullptr) {
-      env_->trace->Record(env_->clock->Now(), TraceKind::kRescue, id_, ep);
-    }
-    if (kv_ != nullptr) {
-      // The failure detector just un-convicted this replica: deliver (or
-      // expire) whatever writes we hinted for it while it was down.
-      kv_->OnReplicaAlive(ep);
-    }
-  }
-  if (env_->config->recalc_trigger == RecalcTrigger::kAnyApplyOfPendingEndpoint &&
-      HasPendingChange(ep)) {
-    MarkRingDirty();
-  }
-}
-
-void Node::OnRestart(NodeId ep) {
-  // Treat a restarted peer as freshly alive.
-  if (!gossiper_.IsAlive(ep)) {
-    gossiper_.MarkAlive(ep);
-    env_->flaps->RecordUp(id_, ep, env_->clock->Now());
-    if (kv_ != nullptr) {
-      kv_->OnReplicaAlive(ep);
-    }
-  }
-}
-
-// ---- Ring / pending-range machinery -------------------------------------------
-
-void Node::AddPendingChange(PendingChange change) {
-  for (const PendingChange& existing : pending_changes_) {
-    if (existing.node == change.node && existing.kind == change.kind) {
-      return;
-    }
-  }
-  pending_changes_.push_back(std::move(change));
-  UpdatePartitionServiceMemory();
-}
-
-void Node::RemovePendingChange(NodeId ep) {
-  auto removed = std::remove_if(pending_changes_.begin(), pending_changes_.end(),
-                                [ep](const PendingChange& c) { return c.node == ep; });
-  if (removed != pending_changes_.end()) {
-    pending_changes_.erase(removed, pending_changes_.end());
-    UpdatePartitionServiceMemory();
-  }
-}
-
-bool Node::HasPendingChange(NodeId ep) const {
-  for (const PendingChange& c : pending_changes_) {
-    if (c.node == ep) {
-      return true;
-    }
-  }
-  return false;
-}
+// ---- Pending-range machinery -------------------------------------------------
 
 void Node::UpdatePartitionServiceMemory() {
-  bool want = !pending_changes_.empty();
+  bool want = !core_.pending_changes().empty();
   if (want == partition_services_allocated_) {
     return;
   }
@@ -739,7 +486,7 @@ void Node::UpdatePartitionServiceMemory() {
     // space-oblivious variant allocates (N-1)*P of them; the fixed code P.
     int64_t services =
         env_->config->space_oblivious_rebalance
-            ? static_cast<int64_t>(gossiper_.endpoints().size() - 1) *
+            ? static_cast<int64_t>(core_.gossiper().endpoints().size() - 1) *
                   env_->config->vnodes_per_node
             : env_->config->vnodes_per_node;
     partition_services_bytes_ = services * env_->config->partition_service_bytes;
@@ -752,16 +499,14 @@ void Node::UpdatePartitionServiceMemory() {
   }
 }
 
-void Node::MarkRingDirty() { ring_dirty_ = true; }
-
 void Node::MaybeScheduleRecalc() {
-  if (crashed_ || !ring_dirty_ || recalc_inflight_) {
+  if (crashed_ || !core_.ring_dirty() || recalc_inflight_) {
     return;
   }
-  if (pending_changes_.empty()) {
+  if (core_.pending_changes().empty()) {
     // Nothing in flight: the recalculation is trivial; skip it (the cheap
     // path real code takes too).
-    ring_dirty_ = false;
+    core_.ClearRingDirty();
     pending_ranges_ = PendingRanges();
     return;
   }
@@ -801,15 +546,15 @@ void Node::BuildRecalcJob() {
   };
 
   auto prepare = [this, state] {
-    ring_dirty_ = false;
+    core_.ClearRingDirty();
     ++*env_->calc_invocations;
     if (env_->trace != nullptr) {
       env_->trace->Record(env_->clock->Now(), TraceKind::kCalcStart, id_, kInvalidNode,
-                          static_cast<int64_t>(pending_changes_.size()));
+                          static_cast<int64_t>(core_.pending_changes().size()));
     }
     state->bootstrap_path =
-        ring_.num_nodes() < static_cast<size_t>(env_->config->replication_factor);
-    state->input.changes = pending_changes_;
+        core_.ring().num_nodes() < static_cast<size_t>(env_->config->replication_factor);
+    state->input.changes = core_.pending_changes();
     state->input.rf = env_->config->replication_factor;
   };
   auto finish = [this] {
@@ -826,7 +571,7 @@ void Node::BuildRecalcJob() {
     case CalcPlacement::kInlineGossipStage:
       job.Run([prepare, state, this] {
         prepare();
-        state->input.ring = &ring_;
+        state->input.ring = &core_.ring();
       });
       break;
     case CalcPlacement::kSeparateThreadCoarseLock:
@@ -835,16 +580,16 @@ void Node::BuildRecalcJob() {
       job.Lock(&ring_lock_);
       job.Run([prepare, state, this] {
         prepare();
-        state->input.ring = &ring_;
+        state->input.ring = &core_.ring();
       });
       break;
     case CalcPlacement::kSeparateThreadClone:
       // The C5456 fix: clone under the lock, release, then compute.
       job.Lock(&ring_lock_);
-      job.Compute([this] { return static_cast<WorkUnits>(ring_.num_entries()) * 6; });
+      job.Compute([this] { return static_cast<WorkUnits>(core_.ring().num_entries()) * 6; });
       job.Run([prepare, state, this] {
         prepare();
-        state->ring_copy = ring_.Clone();
+        state->ring_copy = core_.ring().Clone();
         state->input.ring = &state->ring_copy;
       });
       job.Unlock(&ring_lock_);

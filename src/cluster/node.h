@@ -26,24 +26,23 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cluster/config.h"
 #include "src/cluster/workload.h"
-#include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/gossip/failure_detector.h"
 #include "src/gossip/flap_counter.h"
 #include "src/gossip/gossiper.h"
 #include "src/gossip/messages.h"
 #include "src/kv/kv_service.h"
+#include "src/node/node_core.h"
 #include "src/pil/boundary.h"
 #include "src/pil/order_log.h"
 #include "src/ring/calculators.h"
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
-#include "src/sim/payload_pool.h"
 #include "src/sim/thread.h"
 #include "src/sim/trace.h"
 #include "src/transport/sim_substrate.h"
@@ -197,40 +196,34 @@ class Node {
 
   // ---- Introspection -------------------------------------------------------
 
-  const TokenRing& ring() const { return ring_; }
-  const Gossiper& gossiper() const { return gossiper_; }
-  const PhiAccrualFailureDetector& failure_detector() const { return fd_; }
+  // The protocol state and its reactions (tests drive the core directly).
+  NodeCore& core() { return core_; }
+  const NodeCore& core() const { return core_; }
+  const TokenRing& ring() const { return core_.ring(); }
+  const Gossiper& gossiper() const { return core_.gossiper(); }
+  const PhiAccrualFailureDetector& failure_detector() const { return core_.failure_detector(); }
   const PendingRanges& pending_ranges() const { return pending_ranges_; }
-  const std::vector<PendingChange>& pending_changes() const { return pending_changes_; }
+  const std::vector<PendingChange>& pending_changes() const { return core_.pending_changes(); }
   bool recalc_inflight() const { return recalc_inflight_; }
   const SimMutex& ring_lock() const { return ring_lock_; }
   uint64_t order_divergences() const;
   uint64_t order_enforced() const;
   // Non-null iff config.enable_kv.
-  KvService* kv() { return kv_.get(); }
-  const KvService* kv() const { return kv_.get(); }
+  KvService* kv() { return core_.kv(); }
+  const KvService* kv() const { return core_.kv(); }
   // Gossip-processing tasks shed for staleness (stage overload signature).
   uint64_t stage_tasks_dropped() const { return gossip_stage_.jobs_dropped(); }
-  // Payload-pool recycling stats summed over the SYN/ACK/ACK2 pools.
-  uint64_t payload_reuses() const {
-    return syn_pool_.reuses() + ack_pool_.reuses() + ack2_pool_.reuses();
-  }
-  uint64_t payload_allocs() const {
-    return syn_pool_.allocs() + ack_pool_.allocs() + ack2_pool_.allocs();
-  }
   // Total SYN digest-section bytes shipped (delta-varint encoded measure);
   // divide by the profiler's digest_builds for bytes/round.
   uint64_t digest_bytes_sent() const { return digest_bytes_sent_; }
   // Arena footprint of the gossip scratch (what MemoryModel is charged
   // under the "gossip-arena" tag while the node is up).
   uint64_t arena_bytes_reserved() const {
-    return gossiper_.scratch_arena().bytes_reserved();
+    return core_.gossiper().scratch_arena().bytes_reserved();
   }
-  // Sorted: GenerateTokens sorts them and the settled template hands them out
-  // as generated.
-  const std::vector<Token>& my_tokens() const { return my_tokens_; }
+  const std::vector<Token>& my_tokens() const { return core_.my_tokens(); }
   Machine* machine() const { return machine_; }
-  StatusKind my_status() const { return gossiper_.LocalState().Status(); }
+  StatusKind my_status() const { return core_.gossiper().LocalState().Status(); }
   bool IsSettledView() const;  // no pending changes, no recalc in flight
 
  private:
@@ -244,16 +237,7 @@ class Node {
   void HandleAckMessage(const Message& msg);
   void HandleAck2Message(const Message& msg);
 
-  // ---- Gossiper callbacks --------------------------------------------------
-  void OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status);
-  void OnHeartbeat(NodeId ep);
-  void OnRestart(NodeId ep);
-
-  // ---- Ring / pending-range machinery ---------------------------------------
-  void AddPendingChange(PendingChange change);
-  void RemovePendingChange(NodeId ep);
-  bool HasPendingChange(NodeId ep) const;
-  void MarkRingDirty();
+  // ---- Pending-range machinery ----------------------------------------------
   void MaybeScheduleRecalc();
   void BuildRecalcJob();
   // The PIL compute closure (consults the output cache; real-vs-model).
@@ -274,11 +258,6 @@ class Node {
   Env* env_;
   NodeId id_;
   Machine* machine_;
-  Rng rng_;
-
-  Gossiper gossiper_;
-  PhiAccrualFailureDetector fd_;
-  TokenRing ring_;
   SimMutex ring_lock_;
 
   SimThread gossip_task_;
@@ -286,26 +265,13 @@ class Node {
   std::unique_ptr<SimThread> calc_thread_;
   std::unique_ptr<SimThread> kv_stage_;
   std::unique_ptr<SimStage> kv_stage_adapter_;  // seam view of kv_stage_
-  std::unique_ptr<KvService> kv_;
+  NodeCore core_;
   std::unique_ptr<PeriodicClockTimer> gossip_timer_;
 
-  std::vector<Token> my_tokens_;
-  std::vector<PendingChange> pending_changes_;
   PendingRanges pending_ranges_;
-  bool ring_dirty_ = false;
   bool recalc_inflight_ = false;
   bool partition_services_allocated_ = false;
   int64_t partition_services_bytes_ = 0;
-
-  // Recycled payload buffers for the three gossip message kinds.
-  PayloadPool<SynPayload> syn_pool_;
-  PayloadPool<AckPayload> ack_pool_;
-  PayloadPool<Ack2Payload> ack2_pool_;
-
-  // Endpoints we do not failure-monitor (ourselves, LEFT nodes). Membership
-  // queries only — never iterated, so unordered is deterministic here.
-  std::unordered_set<NodeId> unmonitored_;
-  std::vector<NodeId> seed_contacts_;  // excludes self
 
   std::unique_ptr<OrderEnforcer> enforcer_;
   uint64_t digest_bytes_sent_ = 0;

@@ -11,7 +11,8 @@
 // Semantics match std::map where it matters: sorted deterministic
 // iteration, emplace() does not overwrite an existing key, operator[]
 // default-constructs, at() demands presence. Out-of-order inserts are
-// supported (O(n) shift) so the generic/unsorted digest path still works.
+// supported (O(n) shift): an ACK's request list may come in any order, and
+// ring members join in gossip order.
 
 #ifndef SCALECHECK_SRC_COMMON_FLAT_MAP_H_
 #define SCALECHECK_SRC_COMMON_FLAT_MAP_H_

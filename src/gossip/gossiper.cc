@@ -1,7 +1,6 @@
 #include "src/gossip/gossiper.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "src/common/check.h"
@@ -245,15 +244,10 @@ void Gossiper::HandleSyn(const std::vector<GossipDigest>& digests,
   ++syn_handled_;
   CHECK_NOTNULL(out_requests);
   CHECK_NOTNULL(out_send);
-  bool strictly_sorted =
-      std::adjacent_find(digests.begin(), digests.end(),
-                         [](const GossipDigest& a, const GossipDigest& b) {
-                           return a.endpoint >= b.endpoint;
-                         }) == digests.end();
-  if (!strictly_sorted) {
-    HandleSynGeneric(digests, out_requests, out_send);
-    return;
-  }
+  DCHECK(std::adjacent_find(digests.begin(), digests.end(),
+                            [](const GossipDigest& a, const GossipDigest& b) {
+                              return a.endpoint >= b.endpoint;
+                            }) == digests.end());
   // Merge-walk the sorted incoming digests against our sorted endpoint table
   // and its index-aligned digest cache — one linear pass over contiguous
   // arrays, no per-digest lookups and no MaxVersion() recomputation. Emitted
@@ -289,38 +283,6 @@ void Gossiper::HandleSyn(const std::vector<GossipDigest>& digests,
   }
   for (; i < n; ++i) {
     out_send->emplace(endpoints_.IdAt(i), endpoints_.StateAt(i));
-  }
-}
-
-void Gossiper::HandleSynGeneric(const std::vector<GossipDigest>& digests,
-                                std::vector<GossipDigest>* out_requests,
-                                EndpointStateMap* out_send) {
-  std::map<NodeId, bool> seen;
-  for (const GossipDigest& digest : digests) {
-    seen[digest.endpoint] = true;
-    const EndpointState* local = endpoints_.Find(digest.endpoint);
-    if (local == nullptr) {
-      // Unknown to us: request everything.
-      out_requests->push_back(GossipDigest{digest.endpoint, 0, 0});
-      continue;
-    }
-    if (digest.generation > local->heartbeat().generation) {
-      out_requests->push_back(GossipDigest{digest.endpoint, 0, 0});
-    } else if (digest.generation < local->heartbeat().generation) {
-      out_send->emplace(digest.endpoint, *local);
-    } else if (digest.max_version > local->MaxVersion()) {
-      out_requests->push_back(GossipDigest{
-          digest.endpoint, local->heartbeat().generation, local->MaxVersion()});
-    } else if (digest.max_version < local->MaxVersion()) {
-      out_send->emplace(digest.endpoint, local->DeltaAfter(digest.max_version));
-    }
-    // Equal generation and version: nothing to exchange.
-  }
-  // Endpoints we know that the sender did not mention at all.
-  for (const auto& [ep, state] : endpoints_) {
-    if (!seen.count(ep)) {
-      out_send->emplace(ep, state);
-    }
   }
 }
 

@@ -125,17 +125,17 @@ class Gossiper {
   // deterministic order — sorted by endpoint id).
   std::vector<GossipDigest> MakeSynDigests() const;
 
-  // Same digest list copied into *out, reusing its capacity (for pooled
-  // payload buffers).
+  // Same digest list copied into *out (a SYN payload's digest section).
   void CopySynDigests(std::vector<GossipDigest>* out) const;
 
   // Receiver side of SYN: splits into (digests we want, states they want).
+  // `digests` must ascend strictly by endpoint, as MakeSynDigests builds
+  // them and the wire decoder enforces.
   void HandleSyn(const std::vector<GossipDigest>& digests,
                  std::vector<GossipDigest>* out_requests,
                  EndpointStateMap* out_send);
 
   // Builds the states requested by a digest list (ACK/ACK2 construction).
-  // The out-param form reuses the pooled payload map's capacity.
   void StatesForRequests(const std::vector<GossipDigest>& requests,
                          EndpointStateMap* out) const;
   EndpointStateMap StatesForRequests(const std::vector<GossipDigest>& requests) const;
@@ -188,10 +188,6 @@ class Gossiper {
   void MarkDigestStructureDirty();
   // Brings digest_cache_ up to date (refreshes only dirty entries).
   void RefreshDigestCache() const;
-  // Fallback for digest lists that are not strictly sorted by endpoint.
-  void HandleSynGeneric(const std::vector<GossipDigest>& digests,
-                        std::vector<GossipDigest>* out_requests,
-                        EndpointStateMap* out_send);
 
   NodeId self_;
   Callbacks callbacks_;

@@ -48,11 +48,6 @@ struct SynPayload : public Payload {
     return size_bytes_;
   }
   size_t SizeBytes() const override;
-  // PayloadPool recycling hook: empty the content, keep the capacity.
-  void Clear() {
-    digests.clear();
-    size_bytes_ = 0;
-  }
 
  private:
   size_t size_bytes_ = 0;  // 0: not cached (a real size is at least 16)
@@ -65,17 +60,12 @@ struct AckPayload : public Payload {
   std::vector<GossipDigest> requests;
 
   size_t SizeBytes() const override;
-  void Clear() {
-    states.clear();
-    requests.clear();
-  }
 };
 
 struct Ack2Payload : public Payload {
   EndpointStateMap states;
 
   size_t SizeBytes() const override;
-  void Clear() { states.clear(); }
 };
 
 }  // namespace scalecheck

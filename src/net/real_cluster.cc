@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,8 +35,7 @@ RealCluster::RealCluster(const Options& options) : options_(options) {
     // (gossip, ring, transport) speaks dense EndpointIds == NodeIds.
     EndpointId interned = interner_.Intern("127.0.0.1#" + std::to_string(id));
     CHECK_EQ(interned, id);
-    auto node = std::make_unique<RealNode>(id, node_options, &transport_,
-                                           &clock_, &flaps_, &flaps_mu_);
+    auto node = std::make_unique<RealNode>(id, node_options, &transport_, &clock_);
     node->PrimeSeeds(seed_members);
     nodes_.push_back(std::move(node));
   }
@@ -119,6 +119,9 @@ RunResult RealCluster::Run() {
       const VirtualTime deadline =
           quiet_at +
           options_.node.gossip_interval * options_.partition_heal_rounds;
+      const int64_t heals = std::count_if(
+          plan.events.begin(), plan.events.end(),
+          [](const FaultEvent& ev) { return !ev.duration.IsZero(); });
       FaultInjector::Hooks hooks;
       hooks.clock = &clock_;
       hooks.links = &transport_;
@@ -126,17 +129,22 @@ RunResult RealCluster::Run() {
       injector->Arm();
       // Ride out the plan, then poll for reconvergence within the
       // rounds-denominated heal bound — the real-mode probe of the
-      // partition-heals invariant.
+      // partition-heals invariant. The timer thread may apply the last heal
+      // a moment after quiet_at, and a cluster that never convicted anyone
+      // already looks converged, so wait for the heals themselves.
+      auto healed_and_converged = [&] {
+        return injector->stats().events_healed == heals && AllConverged();
+      };
       healed = false;
       while (clock_.Now() < deadline) {
-        if (clock_.Now() >= quiet_at && AllConverged()) {
+        if (clock_.Now() >= quiet_at && healed_and_converged()) {
           healed = true;
           break;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
       if (!healed) {
-        healed = AllConverged();  // final check at the deadline itself
+        healed = healed_and_converged();  // final check at the deadline itself
       }
       for (const auto& node : nodes_) {
         islanded += static_cast<int64_t>(node->unreachable_endpoints());
@@ -266,10 +274,11 @@ RunResult RealCluster::Run() {
   result.settled = settled;
   result.settle_time = settled ? (settle_time - VirtualTime::Zero()) : VirtualDuration::Zero();
   result.test_duration = end - VirtualTime::Zero();
-  {
-    std::lock_guard<std::mutex> lock(flaps_mu_);
-    result.flaps = flaps_.total_flaps();
-    result.flapped_pairs = flaps_.flapped_pairs();
+  // Each node counts its own convictions; pairs are keyed by observer, so
+  // the per-node sums are the cluster-wide counts.
+  for (const auto& node : nodes_) {
+    result.flaps += node->total_flaps();
+    result.flapped_pairs += node->flapped_pairs();
   }
   result.messages_sent = transport_.messages_sent();
   result.messages_delivered = transport_.messages_delivered();

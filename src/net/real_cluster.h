@@ -12,13 +12,11 @@
 #define SCALECHECK_SRC_NET_REAL_CLUSTER_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/cluster/run_result.h"
 #include "src/common/interner.h"
 #include "src/faults/fault_plan.h"
-#include "src/gossip/flap_counter.h"
 #include "src/net/real_clock.h"
 #include "src/net/real_node.h"
 #include "src/net/tcp_transport.h"
@@ -67,8 +65,6 @@ class RealCluster {
   EndpointInterner interner_;
   RealClock clock_;
   TcpTransport transport_;
-  FlapCounter flaps_;
-  std::mutex flaps_mu_;
   std::vector<std::unique_ptr<RealNode>> nodes_;
 };
 

@@ -1,17 +1,17 @@
 // One in-process node of the real-socket deployment.
 //
 // This is the real-mode counterpart of src/cluster/node.cc: the same
-// protocol objects (Gossiper, PhiAccrualFailureDetector, TokenRing,
-// PendingRangeCalculator, KvService) driven over the substrate seam instead
-// of the simulator. Where the sim Node spreads work across staged
-// SimThreads to *model* contention, RealNode runs everything under one
-// per-node mutex — real threads (socket readers, the timer thread, the
-// driver) provide the concurrency, and the monitor provides the
-// protocol-code guarantee both carriers share: one event at a time per node.
+// NodeCore (gossip, failure detection, ring and KV reactions) driven over
+// the substrate seam instead of the simulator. Where the sim Node spreads
+// work across staged SimThreads to *model* contention, RealNode runs
+// everything under one per-node mutex — real threads (socket readers, the
+// timer thread, the driver) provide the concurrency, and the monitor
+// provides the protocol-code guarantee both carriers share: one event at a
+// time per node.
 //
 // Deliberately below-seam features of the sim Node have no counterpart
-// here: PIL boundaries, payload pools, memory modelling, fault injection,
-// order enforcement. See DESIGN.md's substrate-seam section.
+// here: PIL boundaries, memory modelling, fault injection, order
+// enforcement. See DESIGN.md's substrate-seam section.
 
 #ifndef SCALECHECK_SRC_NET_REAL_NODE_H_
 #define SCALECHECK_SRC_NET_REAL_NODE_H_
@@ -20,16 +20,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/gossip/failure_detector.h"
 #include "src/gossip/flap_counter.h"
 #include "src/gossip/gossiper.h"
 #include "src/gossip/messages.h"
 #include "src/kv/kv_service.h"
 #include "src/net/real_clock.h"
+#include "src/node/node_core.h"
 #include "src/ring/calculators.h"
 #include "src/ring/pending_ranges.h"
 #include "src/ring/token_ring.h"
@@ -65,11 +64,8 @@ class RealNode {
     std::vector<NodeId> seed_contacts;
   };
 
-  // `transport` and `clock` outlive the node; `flaps` is shared across nodes
-  // and internally synchronized by `flaps_mu` (FlapCounter itself is not
-  // thread-safe).
-  RealNode(NodeId id, const Options& options, Transport* transport,
-           Clock* clock, FlapCounter* flaps, std::mutex* flaps_mu);
+  // `transport` and `clock` outlive the node.
+  RealNode(NodeId id, const Options& options, Transport* transport, Clock* clock);
   ~RealNode();
   RealNode(const RealNode&) = delete;
   RealNode& operator=(const RealNode&) = delete;
@@ -98,11 +94,17 @@ class RealNode {
   size_t live_endpoints() const;
   // Known-but-dead peers that have not departed (the healing target set).
   size_t unreachable_endpoints() const;
+  // This node's flaps as observer: alive->dead transitions and the distinct
+  // peers it convicted at least once.
+  int64_t total_flaps() const;
+  int64_t flapped_pairs() const;
   // Written only before Start(), so safe to read without the node mutex.
   // Sorted, like the sim Node's.
-  const std::vector<Token>& my_tokens() const { return my_tokens_; }
+  const std::vector<Token>& my_tokens() const { return core_.my_tokens(); }
   // The KvService's configuration (null without KV); fixed at construction.
-  const KvConfig* kv_config() const { return kv_ ? &kv_->config() : nullptr; }
+  const KvConfig* kv_config() const {
+    return core_.kv() != nullptr ? &core_.kv()->config() : nullptr;
+  }
   const KvStats KvStatsSnapshot() const;
   // Replica-convergence audit hooks (real-mode verdict synthesis): the local
   // storage version of `key` (0 = absent / KV off) and this node's view of
@@ -113,6 +115,9 @@ class RealNode {
   // detector (tests compare them across carriers and priming paths).
   void Inspect(const std::function<void(const TokenRing&, const Gossiper&,
                                         const PhiAccrualFailureDetector&)>& fn) const;
+  // Runs `fn` under the node mutex over the protocol core (tests drive its
+  // reactions directly).
+  void WithCore(const std::function<void(NodeCore&)>& fn);
 
  private:
   void OnMessage(const Message& msg);
@@ -122,32 +127,19 @@ class RealNode {
   void HandleAck2(const Message& msg);
 
   void SendSynTo(NodeId peer);
-  void OnStatusChange(NodeId ep, StatusKind old_status, StatusKind new_status);
-  void OnHeartbeat(NodeId ep);
-  void OnRestart(NodeId ep);
   void MaybeRecalc();
 
   const NodeId id_;
   const Options options_;
   Transport* transport_;
-  FlapCounter* flaps_;
-  std::mutex* flaps_mu_;
 
   mutable std::mutex mu_;
   SerializedClock clock_;  // wraps the shared RealClock with mu_
   RealStage stage_;
-  Rng rng_;
-  Gossiper gossiper_;
-  PhiAccrualFailureDetector fd_;
-  TokenRing ring_;
+  FlapCounter flaps_;  // this node's observations; RealCluster sums them
+  NodeCore core_;
   std::unique_ptr<PendingRangeCalculator> calculator_;
-  std::vector<PendingChange> pending_changes_;
   PendingRanges pending_ranges_;
-  bool ring_dirty_ = false;
-  std::unordered_set<NodeId> unmonitored_;
-  std::vector<NodeId> seed_contacts_;  // Options::seed_contacts minus self
-  std::vector<Token> my_tokens_;
-  std::unique_ptr<KvService> kv_;
   std::unique_ptr<PeriodicClockTimer> gossip_timer_;
   bool started_ = false;
   bool stopped_ = false;

@@ -1,5 +1,6 @@
 #include "src/net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -108,6 +109,16 @@ void EncodeDigests(Writer* w, const std::vector<GossipDigest>& digests) {
 
 bool DecodeDigests(Reader* r, std::vector<GossipDigest>* digests) {
   return r->Digests(digests);
+}
+
+// A SYN lists every endpoint the sender knows once, ascending (the order
+// Gossiper::HandleSyn merge-walks); reject anything else, as map keys are.
+bool DecodeSynDigests(Reader* r, std::vector<GossipDigest>* digests) {
+  return DecodeDigests(r, digests) &&
+         std::adjacent_find(digests->begin(), digests->end(),
+                            [](const GossipDigest& a, const GossipDigest& b) {
+                              return a.endpoint >= b.endpoint;
+                            }) == digests->end();
 }
 
 void EncodeEndpointState(Writer* w, const EndpointState& state) {
@@ -374,7 +385,7 @@ Result<Message> DecodeMessage(std::string_view data) {
   switch (msg.type) {
     case kGossipSyn: {
       auto syn = std::make_shared<SynPayload>();
-      ok = DecodeDigests(&r, &syn->digests);
+      ok = DecodeSynDigests(&r, &syn->digests);
       msg.payload = std::move(syn);
       break;
     }

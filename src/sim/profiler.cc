@@ -14,8 +14,6 @@ void SimProfiler::Counters::WriteJson(JsonWriter* w) const {
   w->Field("digest_builds", digest_builds);
   w->Field("digest_entries_refreshed", digest_entries_refreshed);
   w->Field("digest_full_rebuilds", digest_full_rebuilds);
-  w->Field("payload_reuses", payload_reuses);
-  w->Field("payload_allocs", payload_allocs);
   w->Field("gossip_digest_bytes_sent", gossip_digest_bytes_sent);
   w->Field("gossip_arena_bytes", gossip_arena_bytes);
   w->Field("endpoint_store_bytes", endpoint_store_bytes);

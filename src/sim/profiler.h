@@ -3,8 +3,8 @@
 // Two strictly separated halves:
 //
 //  * Counters — deterministic per-subsystem operation counts (events
-//    executed/cancelled, gossip digest-cache maintenance, payload-pool
-//    recycling). They are pure functions of (spec, scale, mode, seed), so
+//    executed/cancelled, gossip digest-cache maintenance, memory-layout
+//    footprints). They are pure functions of (spec, scale, mode, seed), so
 //    they MAY be serialized into RunResult JSON without breaking the
 //    byte-identical determinism contract. They are how tests assert
 //    algorithmic complexity ("a steady-state gossip round refreshes O(changes)
@@ -51,10 +51,6 @@ class SimProfiler {
     uint64_t digest_builds = 0;
     uint64_t digest_entries_refreshed = 0;
     uint64_t digest_full_rebuilds = 0;
-
-    // Payload pooling.
-    uint64_t payload_reuses = 0;
-    uint64_t payload_allocs = 0;
 
     // Memory-layout accounting (the N=2048 overhaul): bytes of delta-encoded
     // digest sections sent (SYN payloads, wire-v2 varint accounting), the

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -137,15 +136,12 @@ TEST(SettledTemplateTest, RealNodesMatchMemberByMemberPrimingAndConverge) {
 
   RealClock clock;
   TcpTransport transport;
-  FlapCounter flaps;
-  std::mutex flaps_mu;
   RealNode::Options options;
   options.seed = 42;
   options.gossip_interval = VirtualDuration::Millis(20);
   std::vector<std::unique_ptr<RealNode>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
-    nodes.push_back(std::make_unique<RealNode>(id, options, &transport, &clock,
-                                               &flaps, &flaps_mu));
+    nodes.push_back(std::make_unique<RealNode>(id, options, &transport, &clock));
     nodes.back()->PrimeSettled(settled);
   }
 

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -57,8 +56,6 @@ Cluster::Options SimOptions(int n, WorkloadKind kind) {
 struct RealCarrier {
   RealClock clock;
   TcpTransport transport;
-  FlapCounter flaps;
-  std::mutex flaps_mu;
 };
 
 TEST(KvCarrierConfigTest, SimNodesRunTheClusterConfig) {
@@ -78,8 +75,7 @@ TEST(KvCarrierConfigTest, RealNodesRunTheOptionsConfig) {
   RealNode::Options options;
   options.enable_kv = true;
   options.kv = AllNonDefault();
-  RealNode node(0, options, &carrier.transport, &carrier.clock, &carrier.flaps,
-                &carrier.flaps_mu);
+  RealNode node(0, options, &carrier.transport, &carrier.clock);
   ASSERT_NE(node.kv_config(), nullptr);
   EXPECT_EQ(*node.kv_config(), AllNonDefault());
 }
@@ -93,8 +89,7 @@ TEST(KvCarrierConfigTest, RealDefaultsShortenOnlyTheRepairTimings) {
   RealCarrier carrier;
   RealNode::Options options;
   options.enable_kv = true;
-  RealNode node(0, options, &carrier.transport, &carrier.clock, &carrier.flaps,
-                &carrier.flaps_mu);
+  RealNode node(0, options, &carrier.transport, &carrier.clock);
   ASSERT_NE(node.kv_config(), nullptr);
   EXPECT_EQ(*node.kv_config(), expected);
 }
@@ -121,11 +116,9 @@ TEST(KvCarrierConfigTest, NodeTokensAreSortedOnBothCarriers) {
   RealCarrier carrier;
   RealNode::Options options;
   options.seed = 7;
-  RealNode primed(0, options, &carrier.transport, &carrier.clock,
-                  &carrier.flaps, &carrier.flaps_mu);
+  RealNode primed(0, options, &carrier.transport, &carrier.clock);
   primed.PrimeSettled(settled);
-  RealNode joiner(3, options, &carrier.transport, &carrier.clock,
-                  &carrier.flaps, &carrier.flaps_mu);
+  RealNode joiner(3, options, &carrier.transport, &carrier.clock);
   joiner.PrimeSeeds(members);
   for (const RealNode* node : {&primed, &joiner}) {
     const std::vector<Token>& tokens = node->my_tokens();

@@ -94,6 +94,26 @@ TEST(WireCodec, SynRoundTrip) {
   EXPECT_EQ(decoded->digests[1].max_version, 0);
 }
 
+TEST(WireCodec, NonAscendingSynIsRejected) {
+  // A SYN lists each endpoint once, ascending; the receiver merge-walks it.
+  // The same section is accepted unsorted in an ACK's requests.
+  for (std::vector<GossipDigest> digests :
+       {std::vector<GossipDigest>{{.endpoint = 5, .generation = 1, .max_version = 2},
+                                  {.endpoint = 3, .generation = 1, .max_version = 2}},
+        std::vector<GossipDigest>{{.endpoint = 4, .generation = 1, .max_version = 2},
+                                  {.endpoint = 4, .generation = 1, .max_version = 3}}}) {
+    auto syn = std::make_shared<SynPayload>();
+    syn->digests = digests;
+    Result<Message> out = wire::DecodeMessage(wire::EncodeMessage(Frame(kGossipSyn, syn)));
+    EXPECT_FALSE(out.ok()) << "endpoints " << digests[0].endpoint << ", "
+                           << digests[1].endpoint;
+
+    auto ack = std::make_shared<AckPayload>();
+    ack->requests = digests;
+    EXPECT_TRUE(wire::DecodeMessage(wire::EncodeMessage(Frame(kGossipAck, ack))).ok());
+  }
+}
+
 TEST(WireCodec, EmptySynRoundTrip) {
   Message in = Frame(kGossipSyn, std::make_shared<SynPayload>());
   Result<Message> out = wire::DecodeMessage(wire::EncodeMessage(in));

@@ -238,8 +238,9 @@ TEST_P(TransportConformance, NoCrossTalkBetweenHandlers) {
 // Delta-encoded digest sections must survive BOTH carriers bit-exactly:
 // the sim leg round-trips them through the shared wire codec
 // (roundtrip_codec=true) and the tcp leg through real socket frames. Covers
-// the compression-unfriendly cases too (unsorted ids, negative deltas,
-// extreme generations) so carrier behavior cannot diverge on them.
+// the compression-unfriendly cases too (negative deltas and extreme
+// generations in both sections; unsorted ids in the ACK request section,
+// since a SYN must ascend) so carrier behavior cannot diverge on them.
 TEST_P(TransportConformance, DeltaDigestSectionsSurviveCarrier) {
   auto carrier = MakeCarrier(GetParam());
   Inbox a, b;
@@ -251,26 +252,31 @@ TEST_P(TransportConformance, DeltaDigestSectionsSurviveCarrier) {
     syn->digests.push_back(
         {.endpoint = ep, .generation = 1754000000, .max_version = 4000 + ep});
   }
-  // Adversarial tail: unsorted, extreme, and zero entries.
-  syn->digests.push_back({.endpoint = 3, .generation = INT64_MAX, .max_version = 0});
+  // Ascending tail with extreme and zero entries.
   syn->digests.push_back({.endpoint = 2047, .generation = 0, .max_version = 1});
+  syn->digests.push_back({.endpoint = 2048, .generation = INT64_MAX, .max_version = 0});
   const std::vector<GossipDigest> sent_digests = syn->digests;
   carrier->transport()->Send(1, 2, kGossipSyn, syn);
 
   auto ack = std::make_shared<AckPayload>();
   ack->requests = sent_digests;  // ACK request section uses the same codec
+  // Adversarial tail: unsorted, extreme, and zero entries.
+  ack->requests.push_back({.endpoint = 3, .generation = INT64_MAX, .max_version = 0});
+  ack->requests.push_back({.endpoint = 2047, .generation = 0, .max_version = 1});
+  const std::vector<GossipDigest> sent_requests = ack->requests;
   carrier->transport()->Send(2, 1, kGossipAck, ack);
 
   ASSERT_TRUE(carrier->RunUntil([&] { return b.Size() >= 1 && a.Size() >= 1; }));
   auto* got_syn = static_cast<const SynPayload*>(b.At(0).payload.get());
   auto* got_ack = static_cast<const AckPayload*>(a.At(0).payload.get());
-  for (const std::vector<GossipDigest>* got :
-       {&got_syn->digests, &got_ack->requests}) {
-    ASSERT_EQ(got->size(), sent_digests.size());
-    for (size_t i = 0; i < sent_digests.size(); ++i) {
-      EXPECT_EQ((*got)[i].endpoint, sent_digests[i].endpoint) << "entry " << i;
-      EXPECT_EQ((*got)[i].generation, sent_digests[i].generation) << "entry " << i;
-      EXPECT_EQ((*got)[i].max_version, sent_digests[i].max_version) << "entry " << i;
+  for (const auto& [got, sent] :
+       {std::pair{&got_syn->digests, &sent_digests},
+        std::pair{&got_ack->requests, &sent_requests}}) {
+    ASSERT_EQ(got->size(), sent->size());
+    for (size_t i = 0; i < sent->size(); ++i) {
+      EXPECT_EQ((*got)[i].endpoint, (*sent)[i].endpoint) << "entry " << i;
+      EXPECT_EQ((*got)[i].generation, (*sent)[i].generation) << "entry " << i;
+      EXPECT_EQ((*got)[i].max_version, (*sent)[i].max_version) << "entry " << i;
     }
   }
   carrier->transport()->UnregisterNode(1);
